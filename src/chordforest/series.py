@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ConsistencyError
 
@@ -213,19 +214,32 @@ class TruncatedSeries:
 def solve_ternary_gf(order: int) -> TruncatedSeries:
     """The unique series G with G = 1 + x G^3, modulo x^(order+1).
 
-    Fixed-point iteration from G = 1: after k rounds the first k+1
-    coefficients are exact, so the working order grows with the round.  The
-    defining equation is re-checked at full order before returning.
+    Online coefficient recurrence: g_0 = 1 and g_n = [x^(n-1)] G^3 for
+    n >= 1, which involves only g_0..g_(n-1).  Running coefficient lists of
+    G^2 and G^3 each gain one entry per new g_n, a single convolution of
+    length n + 1, so the whole solve costs O(order^2) coefficient products.
+    This is the schoolbook form of relaxed ("online") series evaluation,
+    J. van der Hoeven, *Relax, but don't be too lazy*, J. Symbolic Comput.
+    34 (2002).  It uses nothing but the defining equation, which is
+    re-checked at full order before returning, with G^3 recomputed by
+    ``TruncatedSeries.pow`` rather than taken from the running lists.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    g = TruncatedSeries.one(0)
-    for k in range(1, order + 1):
-        g = TruncatedSeries.one(k) + g.pow(3).shift_mul_x()
-    residual = g - TruncatedSeries.one(order) - g.pow(3).shift_mul_x().truncate(order)
+    g, g2, g3 = [1], [1], [1]
+    for n in range(1, order + 1):
+        g.append(g3[n - 1])
+        g2.append(sum(map(mul, g, reversed(g))))
+        g3.append(sum(map(mul, g, reversed(g2))))
+    series = TruncatedSeries(tuple(g))
+    residual = (
+        series
+        - TruncatedSeries.one(order)
+        - series.pow(3).shift_mul_x().truncate(order)
+    )
     if not residual.is_zero():
-        raise ConsistencyError("fixed point of G = 1 + x G^3 failed to close")
-    return g
+        raise ConsistencyError(f"G - 1 - x G^3 is nonzero at order {order}")
+    return series
 
 
 def tree_gf(order: int) -> TruncatedSeries:

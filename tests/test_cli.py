@@ -5,6 +5,7 @@ subprocess test covers the ``python -m chordforest`` entry point.
 """
 
 import json
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ElementTree
@@ -21,6 +22,8 @@ from chordforest.cli import (
     main,
 )
 from chordforest.diagrams import parse_diagram
+from chordforest.errors import ConsistencyError
+from chordforest.series import TruncatedSeries
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -72,6 +75,32 @@ class TestCount:
     def test_unwanted_m_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, "count", "--kind", "t", "--n", "3", "--m", "1")
         assert code == EXIT_USAGE
+
+    def test_value_above_digit_limit_is_exact_decimal(self, capsys):
+        # t(6000) has 4969 digits, above CPython's default limit of 4300.
+        caller_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, _ = _run(capsys, "count", "--kind", "t", "--n", "6000")
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+            expected = math.comb(3 * 6000 - 3, 6000 - 1) // (2 * 6000 - 1)
+            assert code == EXIT_OK
+            assert out == f"{expected}\n"
+        finally:
+            sys.set_int_max_str_digits(caller_limit)
+
+    def test_failed_self_check_exits_mismatch_without_traceback(
+        self, capsys, monkeypatch
+    ):
+        def failing(n):
+            raise ConsistencyError(f"forced failure at n={n}")
+
+        monkeypatch.setattr(chordforest.formulas, "tree_count", failing)
+        code, out, err = _run(capsys, "count", "--kind", "t", "--n", "4")
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert err == "error: forced failure at n=4\n"
 
 
 class TestTable:
@@ -172,6 +201,17 @@ class TestSeries:
         assert code == EXIT_USAGE
         assert "--order" in err
 
+    def test_order_cap_is_six_hundred(self, capsys):
+        code, out, _ = _run(capsys, "series", "--which", "G", "--order", "600")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 601
+        assert lines[600] == f"600,{math.comb(1800, 600) // 1201}"
+        code, out, err = _run(capsys, "series", "--which", "G", "--order", "601")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "0..600" in err
+
 
 class TestEnumerate:
     def test_totals_for_two_chords(self, capsys):
@@ -252,6 +292,29 @@ class TestVerify:
         assert "FAIL" in out
         assert "first counterexample: f(n=3, m=2)" in out
         assert "formula=7" in out and "series=6" in out
+
+    def test_failed_self_check_is_a_counterexample(self, capsys, monkeypatch):
+        genuine = TruncatedSeries.pow
+
+        def off_by_one(series, exponent):
+            return genuine(series, exponent) + TruncatedSeries.one(series.order)
+
+        monkeypatch.setattr(TruncatedSeries, "pow", off_by_one)
+        code, out, _ = _run(
+            capsys, "verify", "--max-n-formula", "4", "--max-n-brute", "2"
+        )
+        # Both series checks report the self-check's message; the rest run on.
+        assert code == EXIT_MISMATCH
+        assert out.splitlines() == [
+            "check formula-vs-series (n<=4): FAIL",
+            "  first counterexample: G - 1 - x G^3 is nonzero at order 3",
+            "check formula-vs-bruteforce (n<=2): PASS",
+            "check kreweras-vs-enumeration (N<=9): PASS",
+            "check type-sum-vs-closed-form (n<=12): PASS",
+            "check series-identities (order 40): FAIL",
+            "  first counterexample: G - 1 - x G^3 is nonzero at order 40",
+            "2 of 5 checks failed",
+        ]
 
     def test_threads_flag_accepted(self, capsys):
         code, _, _ = _run(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chordforest.errors import ConsistencyError
 from chordforest.formulas import (
     binomial,
     forest_count,
@@ -31,6 +32,18 @@ def _naive_product(a, b, order):
             if i + j <= order:
                 out[i + j] += ai * bj
     return tuple(out)
+
+
+def _fixed_point_ternary_gf(order):
+    """Oracle for solve_ternary_gf: fixed-point rounds G <- 1 + x G^3.
+
+    After k rounds the first k+1 coefficients are exact, so the working
+    order grows with the round; about O(order^3) products, small orders only.
+    """
+    g = TruncatedSeries.one(0)
+    for k in range(1, order + 1):
+        g = TruncatedSeries.one(k) + g.pow(3).shift_mul_x()
+    return g
 
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=10)
@@ -132,8 +145,8 @@ class TestTernaryGF:
 
     def test_coefficients_match_direct_closed_form(self):
         # C(3k, k) / (2k + 1), computed straight from math.comb
-        g = solve_ternary_gf(40)
-        for k in range(41):
+        g = solve_ternary_gf(300)
+        for k in range(301):
             quotient, remainder = divmod(math.comb(3 * k, k), 2 * k + 1)
             assert remainder == 0
             assert g.coeff(k) == quotient
@@ -147,6 +160,22 @@ class TestTernaryGF:
 
     def test_order_zero(self):
         assert solve_ternary_gf(0).coeffs == (1,)
+
+    def test_recurrence_matches_fixed_point_oracle(self):
+        for order in range(41):
+            assert solve_ternary_gf(order) == _fixed_point_ternary_gf(order)
+
+    def test_nonzero_residual_raises(self, monkeypatch):
+        # The residual recomputes G^3 through TruncatedSeries.pow, a path
+        # the recurrence does not use; corrupting it must be caught.
+        genuine = TruncatedSeries.pow
+
+        def off_by_one(series, exponent):
+            return genuine(series, exponent) + TruncatedSeries.one(series.order)
+
+        monkeypatch.setattr(TruncatedSeries, "pow", off_by_one)
+        with pytest.raises(ConsistencyError, match="G - 1 - x G\\^3 is nonzero"):
+            solve_ternary_gf(10)
 
 
 class TestTreeGF:
