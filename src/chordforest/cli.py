@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import diagrams, formulas, oracle
@@ -112,17 +113,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"rooted={table.rooted_by_trees[m]}"
         )
     if args.list:
-
-        def show(diagram: diagrams.ChordDiagram) -> None:
-            shape = diagrams.classify(diagram)
-            if shape.is_forest:
-                sizes = ",".join(str(size) for size in shape.tree_sizes)
-                print(
-                    f"{diagrams.format_diagram(diagram)} "
-                    f"m={shape.component_count} sizes={sizes}"
-                )
-
-        oracle.enumerate_diagrams(args.n, show, cap=cap)
+        for chords, sizes in oracle.iter_forests(args.n, cap=cap):
+            print(
+                f"{diagrams.format_chords(chords)} "
+                f"m={len(sizes)} sizes={','.join(map(str, sizes))}"
+            )
     return EXIT_OK
 
 
@@ -294,14 +289,33 @@ def diagram_to_svg(diagram: diagrams.ChordDiagram) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _write_atomically(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+
+    A failed write removes the temp file and leaves ``path`` as it was.
+    """
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    handle = open(temp, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def cmd_render(args: argparse.Namespace) -> int:
     diagram = diagrams.parse_diagram(args.diagram)
     svg = diagram_to_svg(diagram)
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(svg)
+        _write_atomically(args.out, svg)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        # strerror, not str(exc): the file named in exc is the temp file
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
@@ -349,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound for the exhaustive sweep (default 7)",
     )
     verify.add_argument(
-        "--threads", type=int, default=1, help="parallelism for the exhaustive sweep"
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes for the exhaustive sweep (at most one per core)",
     )
     verify.set_defaults(handler=cmd_verify)
 

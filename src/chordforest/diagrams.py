@@ -26,6 +26,7 @@ __all__ = [
     "classify",
     "classify_chords",
     "crosses",
+    "format_chords",
     "format_diagram",
     "from_pairs",
     "intersection_graph",
@@ -115,29 +116,30 @@ class IntersectionGraph:
     component_sizes: tuple[int, ...]
 
 
+def _find(parent: list[int], i: int) -> int:
+    """Root of i in the union-find forest ``parent``, halving the path to it."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def intersection_graph(diagram: ChordDiagram) -> IntersectionGraph:
     chords = diagram.chords
     n = len(chords)
     parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     edges = set()
     for i in range(n):
         for j in range(i + 1, n):
             if crosses(chords[i], chords[j]):
                 edges.add((i, j))
-                ri, rj = find(i), find(j)
+                ri, rj = _find(parent, i), _find(parent, j)
                 if ri != rj:
                     parent[rj] = ri
     labels: dict[int, int] = {}
     component_id = []
     for i in range(n):
-        root = find(i)
+        root = _find(parent, i)
         if root not in labels:
             labels[root] = len(labels)
         component_id.append(labels[root])
@@ -178,22 +180,12 @@ def classify_chords(chords: Sequence[Chord]) -> Classification:
             c, d = chords[j]
             if c < b < d:  # chords[i] starts before chords[j], so this is a crossing
                 edge_count += 1
-                ri = i
-                while parent[ri] != ri:
-                    parent[ri] = parent[parent[ri]]
-                    ri = parent[ri]
-                rj = j
-                while parent[rj] != rj:
-                    parent[rj] = parent[parent[rj]]
-                    rj = parent[rj]
+                ri, rj = _find(parent, i), _find(parent, j)
                 if ri != rj:
                     parent[rj] = ri
     sizes: dict[int, int] = {}
     for i in range(n):
-        root = i
-        while parent[root] != root:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
+        root = _find(parent, i)
         sizes[root] = sizes.get(root, 0) + 1
     component_count = len(sizes)
     is_forest = edge_count == n - component_count
@@ -270,4 +262,9 @@ def parse_diagram(text: str) -> ChordDiagram:
 
 def format_diagram(diagram: ChordDiagram) -> str:
     """Canonical text form ``a-b,c-d,...``; inverse of :func:`parse_diagram`."""
-    return ",".join(f"{a}-{b}" for a, b in diagram.chords)
+    return format_chords(diagram.chords)
+
+
+def format_chords(chords: Sequence[Chord]) -> str:
+    """Text form ``a-b,c-d,...`` of a chord list, in the order given."""
+    return ",".join(f"{a}-{b}" for a, b in chords)

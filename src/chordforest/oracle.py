@@ -1,16 +1,22 @@
-"""Exhaustive enumeration: the dumb, trustworthy ground truth.
+"""Exhaustive enumeration: the ground truth.
 
 Everything the closed forms and the series engine compute is re-derivable
-here by brute force: all pairings of 2n points, all set partitions of [N],
-all forest type vectors.  Enumeration order is deterministic, and sizes are
-guarded by caps so a typo'd n fails fast instead of running for hours; pass
-a larger ``cap`` explicitly to go above a default.
+here by brute force.  Forest diagrams come from a depth-first sweep that
+places chords in canonical order and cuts a branch at its first cycle
+(:func:`iter_forests`); the diagrams it cuts are counted, not visited.  The
+deliberately dumb sweep over all (2n-1)!! pairings
+(:func:`enumerate_diagrams`, with :func:`~.diagrams.classify_chords` on each
+one) is kept as its test oracle.  Set partitions of [N] and forest type
+vectors are enumerated in full.  Enumeration order is deterministic, and
+sizes are guarded by caps so a typo'd n fails fast instead of running for
+hours; pass a larger ``cap`` explicitly to go above a default.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+import math
+import os
+from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass
 
 from .diagrams import Chord, ChordDiagram, _from_canonical, blocks_cross, classify_chords
@@ -28,7 +34,12 @@ __all__ = [
     "enumerate_diagrams",
     "enumerate_noncrossing_partitions",
     "enumerate_types",
+    "iter_forests",
 ]
+
+# (chords, ascending tree sizes) per forest; the return value counts the
+# diagrams cut away.
+ForestSweep = Generator[tuple[tuple[Chord, ...], tuple[int, ...]], None, int]
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -115,28 +126,141 @@ def _tally(
     return forests, rooted, total
 
 
-def brute_force_counts(n: int, cap: int = DIAGRAM_CAP, threads: int = 1) -> CountTable:
-    """Classify every size-n diagram and tally forests and rooted forests by m.
+def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
+    """Every forest diagram of size n with its tree sizes, in enumeration order.
 
-    ``threads`` > 1 splits the sweep over the 2n-1 choices of the partner of
-    point 1; the merged table is identical to the single-threaded one.
+    Yields ``(chords, sizes)``: the canonical chord tuple and the chords per
+    tree, ascending, in the order :func:`enumerate_diagrams` meets the
+    forests.  The generator returns the number of non-forest diagrams it cut
+    away, so that number plus the forests yielded is (2n-1)!!.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_cap(n, cap, "forest sweep")
+    return _forest_sweep(n, range(2, 2 * n + 1))
+
+
+def _forest_sweep(n: int, first_partners: Iterable[int]) -> ForestSweep:
+    """The cycle-pruned depth-first sweep behind :func:`iter_forests`.
+
+    Chords are placed in canonical order: the smallest unmatched point a is
+    paired with each larger unmatched point b in turn.  Every placed chord
+    starts below a, so the new chord (a, b) crosses exactly the placed
+    chords whose right end lies in (a, b).  If two of those share a
+    component, (a, b) closes a cycle, and so does every (a, b') with a
+    larger b', whose interval holds the same chords and more.  The loop
+    stops there; the completions of the pairs it skips are counted.
+
+    ``first_partners`` are the partners of point 1 to try, so one partner
+    gives one first-chord branch of the sweep.
+    """
+    top = 2 * n
+    # label[p] is 0 while p is unmatched.  Once p is the right end of a
+    # placed chord, it names that chord's component.  Left ends lie below
+    # every point still to match and are never looked at again.
+    label = [0] * (top + 1)
+    # component label -> right ends of its chords.  A new chord (a, b) and
+    # the components it joins take the label b, restored on backtrack.
+    components: dict[int, list[int]] = {}
+    # completions[k] = (2k-1)!!, the matchings of 2k unmatched points
+    completions = [1]
+    for k in range(1, n):
+        completions.append(completions[-1] * (2 * k - 1))
+    cut = 0
+
+    def place(
+        a: int, partners: Iterable[int], chords: tuple[Chord, ...], left: int
+    ) -> Iterator[tuple[tuple[Chord, ...], tuple[int, ...]]]:
+        # left: the chords still to place, (a, b) included
+        nonlocal cut
+        crossed: list[int] = []
+        tried = 0
+        for b in partners:
+            component = label[b]
+            if component:
+                if component in crossed:
+                    # Each untried partner of a (of the 2*left - 1 unmatched
+                    # points above it) closes the same cycle.
+                    cut += (2 * left - 1 - tried) * completions[left - 1]
+                    return
+                crossed.append(component)
+                continue
+            tried += 1
+            joined = [components.pop(c) for c in crossed]
+            members = [b]
+            for group in joined:
+                members += group
+            for q in members:
+                label[q] = b
+            components[b] = members
+            placed = chords + ((a, b),)
+            if left == 1:
+                yield placed, tuple(sorted(map(len, components.values())))
+            else:
+                following = a + 1
+                while label[following]:
+                    following += 1
+                yield from place(
+                    following, range(following + 1, top + 1), placed, left - 1
+                )
+            del components[b]
+            label[b] = 0
+            for c, group in zip(crossed, joined):
+                components[c] = group
+                for q in group:
+                    label[q] = c
+
+    yield from place(1, first_partners, (), n)
+    return cut
+
+
+def _tally_forests(sweep: ForestSweep) -> tuple[dict[int, int], dict[int, int], int]:
+    forests: dict[int, int] = {}
+    rooted: dict[int, int] = {}
+    visited = 0
+    while True:
+        try:
+            _, sizes = next(sweep)
+        except StopIteration as done:
+            return forests, rooted, visited + done.value
+        visited += 1
+        m = len(sizes)
+        forests[m] = forests.get(m, 0) + 1
+        rooted[m] = rooted.get(m, 0) + math.prod(sizes)
+
+
+def _tally_branch(n: int, partner: int) -> tuple[dict[int, int], dict[int, int], int]:
+    """Tallies of the forests whose first chord is (1, partner); runs in a worker."""
+    return _tally_forests(_forest_sweep(n, (partner,)))
+
+
+def brute_force_counts(n: int, cap: int = DIAGRAM_CAP, threads: int = 1) -> CountTable:
+    """Tally the forest diagrams of size n, and rooted forests, by m.
+
+    The forests come from the cycle-pruned sweep of :func:`iter_forests`,
+    and ``total_diagrams`` adds the diagrams it cut.  ``threads`` > 1 runs
+    the 2n-1 branches for the partner of point 1 in worker processes, as
+    many as ``threads`` but never more than branches or cores; the merged
+    table is identical to the single-process one.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_cap(n, cap, "diagram sweep")
-    points = tuple(range(1, 2 * n + 1))
-    if threads == 1:
-        forests, rooted, total = _tally(_iter_pairings(points))
+    partners = range(2, 2 * n + 1)
+    workers = min(threads, len(partners), os.cpu_count() or 1)
+    if workers == 1:
+        forests, rooted, total = _tally_forests(_forest_sweep(n, partners))
     else:
+        # Imported here: a module-level import would slow every CLI start.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        def branch(p: int) -> tuple[dict[int, int], dict[int, int], int]:
-            rest = tuple(q for q in points[1:] if q != p)
-            return _tally(((1, p),) + tail for tail in _iter_pairings(rest))
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(branch, points[1:]))
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            partials = list(pool.map(_tally_branch, [n] * len(partners), partners))
         forests, rooted, total = {}, {}, 0
         for part_forests, part_rooted, part_total in partials:
             total += part_total

@@ -25,7 +25,7 @@ from chordforest.series import TruncatedSeries, rooted_gf, solve_ternary_gf, tre
 
 DATA_DIR = Path(__file__).parent / "data"
 
-BRUTE_MAX = 7
+BRUTE_MAX = 8
 SERIES_MAX = 60
 KREWERAS_MAX = 9
 TYPE_SUM_MAX = 12
@@ -57,7 +57,7 @@ def test_criterion_1_forest_counts_match_bruteforce(sweep_tables):
             got = forest_count(n, m)
             if got != expected:
                 failures.append(f"f({n},{m}): formula={got} bruteforce={expected}")
-    _report(1, "forest counts vs exhaustive sweep, n<=7", failures)
+    _report(1, f"forest counts vs exhaustive sweep, n<={BRUTE_MAX}", failures)
 
 
 def test_criterion_2_rooted_counts_match_bruteforce(sweep_tables):
@@ -68,7 +68,7 @@ def test_criterion_2_rooted_counts_match_bruteforce(sweep_tables):
             got = rooted_forest_count(n, m)
             if got != expected:
                 failures.append(f"r({n},{m}): formula={got} bruteforce={expected}")
-    _report(2, "rooted forest counts vs exhaustive sweep, n<=7", failures)
+    _report(2, f"rooted forest counts vs exhaustive sweep, n<={BRUTE_MAX}", failures)
 
 
 def test_criterion_3_desk_scale_spot_values(sweep_tables):

@@ -4,6 +4,7 @@ Most tests drive main() in-process and inspect captured stdout; one
 subprocess test covers the ``python -m chordforest`` entry point.
 """
 
+import errno
 import json
 import math
 import subprocess
@@ -12,6 +13,7 @@ import xml.etree.ElementTree as ElementTree
 
 import pytest
 
+import chordforest.cli
 import chordforest.formulas
 from chordforest.cli import (
     EXIT_IO,
@@ -375,6 +377,34 @@ class TestRender:
         code, _, err = _run(capsys, "render", "--diagram", "1-2", "--out", str(target))
         assert code == EXIT_IO
         assert "cannot write" in err
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "figure.svg"
+        target.write_text("earlier figure")
+
+        def open_on_full_disk(*args, **kwargs):
+            handle = open(*args, **kwargs)
+
+            def write(text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(chordforest.cli, "open", open_on_full_disk, raising=False)
+        code, _, err = _run(capsys, "render", "--diagram", self.FIGURE, "--out", str(target))
+        assert code == EXIT_IO
+        assert "cannot write" in err
+        assert target.read_text() == "earlier figure"
+        assert [path.name for path in tmp_path.iterdir()] == ["figure.svg"]
+
+    def test_replaces_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "figure.svg"
+        target.write_text("earlier figure")
+        code, _, _ = _run(capsys, "render", "--diagram", "1-2", "--out", str(target))
+        assert code == EXIT_OK
+        assert target.read_text() == diagram_to_svg(parse_diagram("1-2"))
+        assert [path.name for path in tmp_path.iterdir()] == ["figure.svg"]
 
     def test_svg_matches_diagram_chord_count(self):
         for text in ("1-2", "1-4,2-3", "1-8,2-9,3-5,7-10,4-6"):

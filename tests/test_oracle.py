@@ -6,7 +6,11 @@ distinctness and validity of everything visited, partition counts against
 the p(n, m) recurrence, and non-crossing totals against Catalan numbers.
 """
 
+import concurrent.futures
 import functools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,10 +26,14 @@ from chordforest.formulas import (
     tree_count,
 )
 from chordforest.oracle import (
+    _iter_pairings,
+    _tally,
+    _tally_forests,
     brute_force_counts,
     enumerate_diagrams,
     enumerate_noncrossing_partitions,
     enumerate_types,
+    iter_forests,
 )
 
 
@@ -118,9 +126,88 @@ class TestBruteForceCounts:
         for threads in (2, 3, 8):
             assert brute_force_counts(5, threads=threads) == brute_force_counts(5)
 
+    def test_workers_capped_by_cores_and_branches(self, monkeypatch):
+        requested = []
+
+        class InlineExecutor:
+            """Records the pool size and runs the branches here, one by one."""
+
+            def __init__(self, max_workers, mp_context=None):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, function, *iterables):
+                return map(function, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        expected = brute_force_counts(5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert brute_force_counts(5, threads=10**6) == expected
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert brute_force_counts(5, threads=10**6) == expected
+        assert requested == [3, 9]  # cores, then the 2n-1 first-chord branches
+
+    def test_cli_import_loads_no_pool_modules(self):
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, chordforest.cli; "
+                "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60,
+        )
+        assert result.stdout == "False False\n", result.stderr
+
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             brute_force_counts(9)
+
+
+class TestIterForests:
+    """The cycle-pruned sweep against the dumb sweep over every pairing."""
+
+    def test_tallies_match_dumb_sweep(self):
+        for n in range(1, 8):
+            dumb = _tally(_iter_pairings(tuple(range(1, 2 * n + 1))))
+            assert _tally_forests(iter_forests(n)) == dumb
+
+    def test_forests_arrive_in_enumeration_order(self):
+        for n in range(1, 7):
+            expected = []
+
+            def keep_forest(diagram):
+                shape = classify(diagram)
+                if shape.is_forest:
+                    expected.append((diagram.chords, shape.tree_sizes))
+
+            enumerate_diagrams(n, keep_forest)
+            assert list(iter_forests(n)) == expected
+
+    def test_returns_the_number_of_diagrams_cut(self):
+        # n = 3: the pairwise-crossing triple 1-4,2-5,3-6 is the one cut
+        sweep = iter_forests(3)
+        forests = []
+        with pytest.raises(StopIteration) as done:
+            while True:
+                forests.append(next(sweep))
+        assert len(forests) == 14
+        assert done.value.value == 1
+
+    def test_cap_and_domain(self):
+        with pytest.raises(EnumerationCapError):
+            iter_forests(9)
+        with pytest.raises(ValueError):
+            iter_forests(0)
+        assert len(list(iter_forests(3, cap=3))) == 14
 
 
 def _bell(n):
