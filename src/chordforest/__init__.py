@@ -28,10 +28,13 @@ from .formulas import (
     double_factorial_pairings,
     falling_factorial,
     forest_count,
+    forest_row,
     kreweras_count,
     lagrange_coeff,
     rooted_forest_count,
+    rooted_forest_paper_sum,
     tree_count,
+    tree_counts,
     type_sum_forest_count,
 )
 from .oracle import (

@@ -14,7 +14,6 @@ error.  All values are printed as exact decimals, at any number of digits.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -55,35 +54,49 @@ def cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _table_records(kind: str, max_n: int) -> list[tuple[str, int, int | None, int]]:
-    if max_n < 1:
-        raise ValueError(f"--max-n must be >= 1, got {max_n}")
-    records = []
+def _table_records(kind: str, max_n: int):
+    """Yield the table's (kind, n, m, value) records in output order, one row at a time."""
+    if kind == "t":
+        for n, value in enumerate(formulas.tree_counts(max_n), start=1):
+            yield kind, n, None, value
+        return
     for n in range(1, max_n + 1):
-        if kind in ("f", "r"):
+        if kind == "f":
+            for m, value in enumerate(formulas.forest_row(n), start=1):
+                yield kind, n, m, value
+        elif kind == "r":
             for m in range(1, n + 1):
-                records.append((kind, n, m, _lookup(kind, n, m)))
+                yield kind, n, m, formulas.rooted_forest_count(n, m)
         else:
-            records.append((kind, n, None, _lookup(kind, n, None)))
-    return records
+            yield kind, n, None, formulas.catalan(n)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    """Write the table one record at a time, so memory stays at one row.
+
+    The bytes equal an all-at-once rendering, but a ``ConsistencyError`` in
+    a later row leaves the records before it on stdout.
+    """
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     records = _table_records(args.kind, args.max_n)
+    write = sys.stdout.write
     if args.format == "csv":
-        print("kind,n,m,value")
+        write("kind,n,m,value\n")
         for kind, n, m, value in records:
-            print(f"{kind},{n},{'' if m is None else m},{value}")
-    else:
-        payload = []
-        for kind, n, m, value in records:
-            record: dict[str, object] = {"kind": kind, "n": n}
-            if m is not None:
-                record["m"] = m
-            record["value"] = str(value)
-            record["source"] = "formula"
-            payload.append(record)
-        print(json.dumps(payload, indent=2))
+            write(f"{kind},{n},{'' if m is None else m},{value}\n")
+        return EXIT_OK
+    # The layout of json.dumps(records, indent=2); kind comes from a fixed
+    # set of plain names, so nothing in a record needs escaping.
+    opening = "[\n"
+    for kind, n, m, value in records:
+        cell = "" if m is None else f'    "m": {m},\n'
+        write(
+            f'{opening}  {{\n    "kind": "{kind}",\n    "n": {n},\n{cell}'
+            f'    "value": "{value}",\n    "source": "formula"\n  }}'
+        )
+        opening = ",\n"
+    write("\n]\n")
     return EXIT_OK
 
 
@@ -185,6 +198,17 @@ def _check_kreweras(max_n: int) -> str | None:
     return None
 
 
+def _check_rooted_forms(max_n: int) -> str | None:
+    """r(n, m) by the paper's double sum against the Lagrange-Buermann form."""
+    for n in range(1, max_n + 1):
+        for m in range(1, n + 1):
+            paper = formulas.rooted_forest_paper_sum(n, m)
+            closed = formulas.rooted_forest_count(n, m)
+            if paper != closed:
+                return f"r(n={n}, m={m}) lagrange-burmann={closed} paper-sum={paper}"
+    return None
+
+
 def _check_type_sum(max_n: int) -> str | None:
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
@@ -216,6 +240,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         (
             f"formula-vs-series (n<={args.max_n_formula})",
             lambda: _check_series_vs_formula(args.max_n_formula),
+        ),
+        (
+            f"rooted-paper-sum-vs-lagrange-burmann (n<={args.max_n_formula})",
+            lambda: _check_rooted_forms(args.max_n_formula),
         ),
         (
             f"formula-vs-bruteforce (n<={args.max_n_brute})",

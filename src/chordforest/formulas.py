@@ -24,10 +24,13 @@ __all__ = [
     "double_factorial_pairings",
     "falling_factorial",
     "forest_count",
+    "forest_row",
     "kreweras_count",
     "lagrange_coeff",
     "rooted_forest_count",
+    "rooted_forest_paper_sum",
     "tree_count",
+    "tree_counts",
     "type_sum_forest_count",
 ]
 
@@ -88,6 +91,28 @@ def tree_count(n: int) -> int:
     return _exact_div(binomial(3 * n - 3, n - 1), 2 * n - 1)
 
 
+def tree_counts(max_n: int) -> list[int]:
+    """[t(1), ..., t(max_n)], each entry from the one before by a small-integer ratio.
+
+        t(n+1) = t(n) 3n (3n-1) (3n-2) / (n 2n (2n+1)),
+
+    the quotient of consecutive C(3n-3, n-1) / (2n-1).  The last entry is
+    checked against :func:`tree_count`, so a wrong step cannot pass unseen.
+    """
+    if max_n < 1:
+        raise ValueError(f"tree_counts requires max_n >= 1, got max_n={max_n}")
+    row = [1]
+    for n in range(1, max_n):
+        row.append(
+            _exact_div(
+                row[-1] * (3 * n * (3 * n - 1) * (3 * n - 2)), n * 2 * n * (2 * n + 1)
+            )
+        )
+    if row[-1] != tree_count(max_n):
+        raise ConsistencyError(f"tree_counts({max_n}) ends off the closed form t({max_n})")
+    return row
+
+
 def forest_count(n: int, m: int) -> int:
     """Number of diagrams with n chords whose intersection graph is a forest of m trees.
 
@@ -101,6 +126,35 @@ def forest_count(n: int, m: int) -> int:
     return _exact_div(
         binomial(2 * n, m - 1) * binomial(3 * n - 2 * m - 1, n - m - 1), n - m
     )
+
+
+def forest_row(n: int) -> list[int]:
+    """[f(n, 1), ..., f(n, n)]: the binomials of :func:`forest_count` stepped along m.
+
+    With a = 3n-2m-1 and b = n-m-1, the step from m to m+1 is
+
+        C(2n, m) = C(2n, m-1) (2n-m+1) / m,
+        C(a-2, b-1) = C(a, b) b (a-b) / (a (a-1)),
+
+    and f(n, n) = catalan(n).  The chains must reach C(n+1, 0) = 1 at
+    m = n-1 and C(2n, n-1) = n catalan(n) at m = n, so a wrong step cannot
+    pass unseen.
+    """
+    if n < 1:
+        raise ValueError(f"forest_row requires n >= 1, got n={n}")
+    first = 1  # C(2n, m-1)
+    second = binomial(3 * n - 3, n - 2)  # C(a, b)
+    row = []
+    for m in range(1, n):
+        row.append(_exact_div(first * second, n - m))
+        a, b = 3 * n - 2 * m - 1, n - m - 1
+        first = _exact_div(first * (2 * n - m + 1), m)
+        if b:
+            second = _exact_div(second * (b * (a - b)), a * (a - 1))
+    row.append(catalan(n))
+    if (n > 1 and second != 1) or first != n * row[-1]:
+        raise ConsistencyError(f"forest_row({n}): a binomial chain missed its end value")
+    return row
 
 
 def lagrange_coeff(a: int, b: int) -> int:
@@ -126,6 +180,56 @@ def rooted_forest_count(n: int, m: int) -> int:
     """Number of forest diagrams with n chords and m trees, one root chosen per tree.
 
     Rooting weights an i-chord tree by a factor i, which turns the tree
+    series T into R = x T', and r(n, m) = C(2n, m-1) [x^n] R^m / m.  Put
+    w = G - 1, so that G = 1 + x G^3 reads w = x phi(w) with
+    phi(w) = (1+w)^3.  Then
+
+        x = w / (1+w)^3,    T = x G = w / (1+w)^2,
+        R = x (dT/dw) / (dx/dw) = w (1-w) / ((1+w)^2 (1-2w)).
+
+    The second Lagrange-Buermann form (Flajolet and Sedgewick, *Analytic
+    Combinatorics*, Thm A.2), [x^n] H(w) = [w^n] H(w) phi^(n-1) (phi - w phi'),
+    with phi - w phi' = (1+w)^2 (1-2w), gives
+
+        [x^n] R^m = [w^(n-m)] u(w) (1+w)^(3n-1-2m),    u(w) = (1-w)^m (1-2w)^(1-m),
+
+    so r(n, m) = C(2n, m-1)/m * sum_{k=0..n-m} u_k C(3n-1-2m, n-m-k), one
+    convolution of length n-m+1.  From u'/u = -m/(1-w) + 2(m-1)/(1-2w),
+    (1 - 3w + 2w^2) u' = (m - 2 + 2w) u, whose coefficient of w^k is
+
+        (k+1) u_(k+1) = (3k+m-2) u_k - (2k-4) u_(k-1),    u_0 = 1, u_(-1) = 0.
+
+    u has integer coefficients, so each step of this recurrence, and of
+    C(a, j) = C(a, j-1) (a-j+1) / j, is an exact division.  The paper's
+    double sum, :func:`rooted_forest_paper_sum`, is the independent check.
+    """
+    if m < 1 or m > n:
+        raise ValueError(
+            f"rooted_forest_count requires 1 <= m <= n, got n={n}, m={m}"
+        )
+    depth = n - m
+    top = 3 * n - 1 - 2 * m
+    u = [1]
+    previous = 0
+    for k in range(depth):
+        u.append(_exact_div((3 * k + m - 2) * u[k] - (2 * k - 4) * previous, k + 1))
+        previous = u[k]
+    total = 0
+    choose = 1  # C(top, j)
+    for j, coefficient in enumerate(reversed(u)):
+        if j:
+            choose = _exact_div(choose * (top - j + 1), j)
+        total += coefficient * choose
+    value = _exact_div(binomial(2 * n, m - 1) * total, m)
+    if value < 0:
+        raise ConsistencyError(f"rooted_forest_count({n}, {m}) evaluated to {value} < 0")
+    return value
+
+
+def rooted_forest_paper_sum(n: int, m: int) -> int:
+    """r(n, m) by the paper's double alternating sum; the check on :func:`rooted_forest_count`.
+
+    Rooting weights an i-chord tree by a factor i, which turns the tree
     series T into R = x T' = x (2x - T) / (x - 3 T^2).  Expanding the closed
     form binomially and extracting coefficients yields
 
@@ -137,11 +241,12 @@ def rooted_forest_count(n: int, m: int) -> int:
                  (-1)^k C(m,k) C(m+j-1,j) 2^(m-k) 3^j [x^(n-m+j+k)] T^(2j+k),
         S2 = sum_{k=0..m} (-1)^k C(m,k) C(n-1,n-m) 2^(m-k) 3^(n-m),
 
-    where S1 is empty for m = n.
+    where S1 is empty for m = n.  It makes O(m (n-m)) :func:`lagrange_coeff`
+    calls per cell, so a table of it grows as N^4.
     """
     if m < 1 or m > n:
         raise ValueError(
-            f"rooted_forest_count requires 1 <= m <= n, got n={n}, m={m}"
+            f"rooted_forest_paper_sum requires 1 <= m <= n, got n={n}, m={m}"
         )
     sum1 = 0
     sum2 = 0
@@ -158,7 +263,7 @@ def rooted_forest_count(n: int, m: int) -> int:
         sum2 += common * binomial(n - 1, n - m) * 3 ** (n - m)
     value = _exact_div(binomial(2 * n, m - 1) * (sum1 + sum2), m)
     if value < 0:
-        raise ConsistencyError(f"rooted_forest_count({n}, {m}) evaluated to {value} < 0")
+        raise ConsistencyError(f"rooted_forest_paper_sum({n}, {m}) evaluated to {value} < 0")
     return value
 
 

@@ -241,7 +241,9 @@ def brute_force_counts(n: int, cap: int = DIAGRAM_CAP, threads: int = 1) -> Coun
     and ``total_diagrams`` adds the diagrams it cut.  ``threads`` > 1 runs
     the 2n-1 branches for the partner of point 1 in worker processes, as
     many as ``threads`` but never more than branches or cores; the merged
-    table is identical to the single-process one.
+    table is identical to the single-process one.  Workers need a main
+    program they can import, so more than one worker raises ``ValueError``
+    when the main program was read from stdin (``python -``).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -253,10 +255,23 @@ def brute_force_counts(n: int, cap: int = DIAGRAM_CAP, threads: int = 1) -> Coun
     if workers == 1:
         forests, rooted, total = _tally_forests(_forest_sweep(n, partners))
     else:
-        # Imported here: a module-level import would slow every CLI start.
+        # Imported here: a module-level import of the pool would slow every CLI start.
         import multiprocessing
+        import sys
         from concurrent.futures import ProcessPoolExecutor
 
+        # A spawned worker re-runs the main program from its file unless it
+        # was run as a module; a program read from stdin has no file, and
+        # every worker would die.
+        main = sys.modules["__main__"]
+        path = getattr(main, "__file__", None)
+        run_as_module = getattr(getattr(main, "__spec__", None), "name", None)
+        if run_as_module is None and path and not os.path.isfile(path):
+            raise ValueError(
+                f"threads={threads} runs worker processes, which re-run the main "
+                f"program from its file, but it was read from {path}; run it from "
+                "a file or pass threads=1"
+            )
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn")
         ) as pool:

@@ -17,6 +17,7 @@ from chordforest.formulas import (
     forest_count,
     kreweras_count,
     rooted_forest_count,
+    rooted_forest_paper_sum,
     tree_count,
     type_sum_forest_count,
 )
@@ -65,10 +66,18 @@ def test_criterion_2_rooted_counts_match_bruteforce(sweep_tables):
     for n in range(1, BRUTE_MAX + 1):
         for m in range(1, n + 1):
             expected = sweep_tables[n].rooted_by_trees.get(m, 0)
-            got = rooted_forest_count(n, m)
-            if got != expected:
-                failures.append(f"r({n},{m}): formula={got} bruteforce={expected}")
-    _report(2, f"rooted forest counts vs exhaustive sweep, n<={BRUTE_MAX}", failures)
+            for label, form in (
+                ("lagrange-burmann", rooted_forest_count),
+                ("paper-sum", rooted_forest_paper_sum),
+            ):
+                got = form(n, m)
+                if got != expected:
+                    failures.append(f"r({n},{m}): {label}={got} bruteforce={expected}")
+    _report(
+        2,
+        f"rooted forest counts, both forms, vs exhaustive sweep, n<={BRUTE_MAX}",
+        failures,
+    )
 
 
 def test_criterion_3_desk_scale_spot_values(sweep_tables):

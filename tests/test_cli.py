@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ElementTree
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +26,7 @@ from chordforest.cli import (
 )
 from chordforest.diagrams import parse_diagram
 from chordforest.errors import ConsistencyError
+from chordforest.formulas import catalan, forest_count, rooted_forest_count, tree_count
 from chordforest.series import TruncatedSeries
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -176,6 +178,55 @@ class TestTable:
         assert code == EXIT_USAGE
         assert "--max-n" in err
 
+    def test_streamed_output_equals_all_at_once_rendering(self, monkeypatch):
+        cells = {
+            "f": lambda n: [(m, forest_count(n, m)) for m in range(1, n + 1)],
+            "r": lambda n: [(m, rooted_forest_count(n, m)) for m in range(1, n + 1)],
+            "t": lambda n: [(None, tree_count(n))],
+            "catalan": lambda n: [(None, catalan(n))],
+        }
+        for kind, row in cells.items():
+            for max_n in range(1, 13):
+                records = [(n, m, v) for n in range(1, max_n + 1) for m, v in row(n)]
+                csv_lines = [f"{kind},{n},{'' if m is None else m},{v}\n" for n, m, v in records]
+                payload = []
+                for n, m, value in records:
+                    record = {"kind": kind, "n": n}
+                    if m is not None:
+                        record["m"] = m
+                    record.update(value=str(value), source="formula")
+                    payload.append(record)
+                expected = {
+                    "csv": "kind,n,m,value\n" + "".join(csv_lines),
+                    "json": json.dumps(payload, indent=2) + "\n",
+                }
+                for fmt, text in expected.items():
+                    writes = []
+                    with monkeypatch.context() as patch:
+                        patch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+                        code = main(
+                            ["table", "--kind", kind, "--max-n", str(max_n), "--format", fmt]
+                        )
+                    assert code == EXIT_OK
+                    assert "".join(writes) == text, (kind, max_n, fmt)
+                    # No write holds more than one record: one CSV line, one JSON object.
+                    marker = "\n" if fmt == "csv" else '"kind"'
+                    assert max(w.count(marker) for w in writes) == 1
+
+    def test_failed_row_leaves_earlier_rows_and_exits_mismatch(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.forest_row
+
+        def failing(n):
+            if n == 3:
+                raise ConsistencyError("forest_row(3): a binomial chain missed its end value")
+            return genuine(n)
+
+        monkeypatch.setattr(chordforest.formulas, "forest_row", failing)
+        code, out, err = _run(capsys, "table", "--kind", "f", "--max-n", "4")
+        assert code == EXIT_MISMATCH
+        assert out == "kind,n,m,value\nf,1,1,1\nf,2,1,1\nf,2,2,2\n"
+        assert err == "error: forest_row(3): a binomial chain missed its end value\n"
+
 
 class TestSeries:
     def test_g_coefficients(self, capsys):
@@ -268,8 +319,8 @@ class TestVerify:
         )
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert sum(1 for line in lines if line.endswith(": PASS")) == 5
-        assert lines[-1] == "all 5 checks passed"
+        assert sum(1 for line in lines if line.endswith(": PASS")) == 6
+        assert lines[-1] == "all 6 checks passed"
 
     def test_exit_zero_iff_no_mismatch_printed(self, capsys):
         code, out, _ = _run(
@@ -295,6 +346,18 @@ class TestVerify:
         assert "first counterexample: f(n=3, m=2)" in out
         assert "formula=7" in out and "series=6" in out
 
+    def test_rooted_forms_disagreeing_is_a_counterexample(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.rooted_forest_paper_sum
+
+        def corrupted(n, m):
+            return genuine(n, m) + ((n, m) == (4, 2))
+
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_paper_sum", corrupted)
+        code, out, _ = _run(capsys, "verify", "--max-n-formula", "6", "--max-n-brute", "2")
+        assert code == EXIT_MISMATCH
+        assert "check rooted-paper-sum-vs-lagrange-burmann (n<=6): FAIL" in out
+        assert "first counterexample: r(n=4, m=2) lagrange-burmann=88 paper-sum=89" in out
+
     def test_failed_self_check_is_a_counterexample(self, capsys, monkeypatch):
         genuine = TruncatedSeries.pow
 
@@ -310,12 +373,13 @@ class TestVerify:
         assert out.splitlines() == [
             "check formula-vs-series (n<=4): FAIL",
             "  first counterexample: G - 1 - x G^3 is nonzero at order 3",
+            "check rooted-paper-sum-vs-lagrange-burmann (n<=4): PASS",
             "check formula-vs-bruteforce (n<=2): PASS",
             "check kreweras-vs-enumeration (N<=9): PASS",
             "check type-sum-vs-closed-form (n<=12): PASS",
             "check series-identities (order 40): FAIL",
             "  first counterexample: G - 1 - x G^3 is nonzero at order 40",
-            "2 of 5 checks failed",
+            "2 of 6 checks failed",
         ]
 
     def test_threads_flag_accepted(self, capsys):

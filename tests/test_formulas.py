@@ -5,12 +5,14 @@ direct products, or the exhaustive sweeps in test_oracle.py; none were
 produced by the functions under test.
 """
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chordforest import formulas
 from chordforest.errors import ConsistencyError
 from chordforest.formulas import (
     PartitionType,
@@ -20,10 +22,13 @@ from chordforest.formulas import (
     double_factorial_pairings,
     falling_factorial,
     forest_count,
+    forest_row,
     kreweras_count,
     lagrange_coeff,
     rooted_forest_count,
+    rooted_forest_paper_sum,
     tree_count,
+    tree_counts,
     type_sum_forest_count,
 )
 
@@ -138,6 +143,15 @@ class TestTreeCount:
             tree_count(0)
 
 
+class TestTreeCounts:
+    def test_matches_tree_count_to_three_thousand(self):
+        assert tree_counts(3000) == [tree_count(n) for n in range(1, 3001)]
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            tree_counts(0)
+
+
 class TestForestCount:
     def test_small_table(self):
         # confirmed by hand for n <= 2 and by the exhaustive sweeps for n <= 7
@@ -171,6 +185,55 @@ class TestForestCount:
             assert forest_count(n, n) == catalan(n)
 
 
+class TestForestRow:
+    def test_matches_forest_count_to_three_hundred(self):
+        for n in range(1, 301):
+            assert forest_row(n) == [forest_count(n, m) for m in range(1, n + 1)]
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            forest_row(0)
+
+
+def _run_dividing(monkeypatch, function, argument, corrupt=-1):
+    """function(argument) with the corrupt-th ``_exact_div`` quotient one too
+    large (none for -1); returns its result and the number of divisions made."""
+    calls = itertools.count()
+    genuine = formulas._exact_div
+
+    def division(numerator, divisor):
+        quotient = genuine(numerator, divisor)
+        return quotient + 1 if next(calls) == corrupt else quotient
+
+    with monkeypatch.context() as patch:
+        patch.setattr(formulas, "_exact_div", division)
+        return function(argument), next(calls)
+
+
+class TestRowKernelSteps:
+    """A wrong step in a row kernel raises; it never reaches later entries."""
+
+    def test_every_corrupted_tree_step_raises(self, monkeypatch):
+        _, divisions = _run_dividing(monkeypatch, tree_counts, 30)
+        for index in range(divisions):
+            with pytest.raises(ConsistencyError):
+                _run_dividing(monkeypatch, tree_counts, 30, index)
+
+    def test_every_corrupted_forest_step_raises(self, monkeypatch):
+        for n in (2, 3, 9, 25):
+            truth, divisions = _run_dividing(monkeypatch, forest_row, n)
+            spoiled_cells = 0
+            for index in range(divisions):
+                try:
+                    row, _ = _run_dividing(monkeypatch, forest_row, n, index)
+                except ConsistencyError:
+                    continue
+                # Only the division that yields a cell may pass, wrong in that cell alone.
+                assert sum(a != b for a, b in zip(row, truth)) == 1
+                spoiled_cells += 1
+            assert spoiled_cells == n - 1
+
+
 class TestRootedForestCount:
     def test_small_table(self):
         # confirmed by the exhaustive sweeps (test_oracle.py, n <= 7)
@@ -201,6 +264,16 @@ class TestRootedForestCount:
     def test_all_singletons_is_catalan(self):
         for n in range(1, 61):
             assert rooted_forest_count(n, n) == catalan(n)
+
+    def test_lagrange_burmann_equals_paper_sum_to_sixty(self):
+        for n in range(1, 61):
+            for m in range(1, n + 1):
+                assert rooted_forest_count(n, m) == rooted_forest_paper_sum(n, m)
+
+    def test_paper_sum_domain_errors(self):
+        for n, m in ((3, 0), (3, 4), (0, 1)):
+            with pytest.raises(ValueError):
+                rooted_forest_paper_sum(n, m)
 
 
 class TestLagrangeCoeff:

@@ -167,6 +167,31 @@ class TestBruteForceCounts:
         )
         assert result.stdout == "False False\n", result.stderr
 
+    def test_workers_refused_for_a_program_read_from_stdin(self):
+        # Spawned workers would re-run "<stdin>" and break the pool; the
+        # cpu_count stand-in makes a pool due on a one-core machine too.
+        script = (
+            "import os\n"
+            "os.cpu_count = lambda: 2\n"
+            "from chordforest.oracle import brute_force_counts\n"
+            "try:\n"
+            "    brute_force_counts(4, threads=2)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "print(brute_force_counts(4, threads=1).total_forests)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-"],
+            input=script,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60,
+        )
+        message, total = result.stdout.splitlines()
+        assert "<stdin>" in message and "threads=1" in message, result.stderr
+        assert total == "82"
+
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             brute_force_counts(9)
