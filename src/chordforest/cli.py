@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from . import diagrams, formulas, oracle
 from .errors import ConsistencyError
@@ -137,7 +138,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # -- verify ----------------------------------------------------------------
 
 
-def _check_series_vs_formula(max_n: int) -> str | None:
+def _first_mismatch(cases: Iterable[tuple], left_name: str, right_name: str) -> str | None:
+    """The first ``(case, left, right)`` with left != right, written as
+    ``<case> <left_name>=<left> <right_name>=<right>``, or None."""
+    for case, left, right in cases:
+        if left != right:
+            return f"{case} {left_name}={left} {right_name}={right}"
+    return None
+
+
+def _series_vs_formula(max_n: int) -> Iterator[tuple]:
     """Coefficient bridge: C(2n, m-1) [x^n] S^m / m against the closed forms."""
     pairs = (
         ("f", tree_gf(max_n), formulas.forest_count),
@@ -150,122 +160,111 @@ def _check_series_vs_formula(max_n: int) -> str | None:
             for n in range(m, max_n + 1):
                 numerator = formulas.binomial(2 * n, m - 1) * power.coeff(n)
                 quotient, remainder = divmod(numerator, m)
-                expected = closed_form(n, m)
-                if remainder or quotient != expected:
-                    got = f"{numerator}/{m}" if remainder else str(quotient)
-                    return f"{label}(n={n}, m={m}) formula={expected} series={got}"
-    return None
+                # an inexact quotient is shown as a fraction, which equals no count
+                series = f"{numerator}/{m}" if remainder else quotient
+                yield f"{label}(n={n}, m={m})", closed_form(n, m), series
 
 
-def _check_formula_vs_bruteforce(max_n: int, threads: int) -> str | None:
+def _formula_vs_bruteforce(max_n: int, threads: int) -> Iterator[tuple]:
     for n in range(1, max_n + 1):
         table = oracle.brute_force_counts(n, threads=threads)
-        expected_total = formulas.double_factorial_pairings(n)
-        if table.total_diagrams != expected_total:
-            return (
-                f"diagram total (n={n}) formula={expected_total} "
-                f"bruteforce={table.total_diagrams}"
-            )
+        total = formulas.double_factorial_pairings(n)
+        yield f"diagram total (n={n})", total, table.total_diagrams
         for m in range(1, n + 1):
-            seen = table.forests_by_trees.get(m, 0)
-            expected = formulas.forest_count(n, m)
-            if seen != expected:
-                return f"f(n={n}, m={m}) formula={expected} bruteforce={seen}"
-            seen = table.rooted_by_trees.get(m, 0)
-            expected = formulas.rooted_forest_count(n, m)
-            if seen != expected:
-                return f"r(n={n}, m={m}) formula={expected} bruteforce={seen}"
-    return None
+            forests = table.forests_by_trees.get(m, 0)
+            yield f"f(n={n}, m={m})", formulas.forest_count(n, m), forests
+            rooted = table.rooted_by_trees.get(m, 0)
+            yield f"r(n={n}, m={m})", formulas.rooted_forest_count(n, m), rooted
 
 
-def _check_kreweras(max_n: int) -> str | None:
+def _kreweras(max_n: int) -> Iterator[tuple]:
     for n in range(1, max_n + 1):
         tallies = oracle.enumerate_noncrossing_partitions(n)
         total = sum(tallies.values())
-        expected_total = formulas.catalan(n)
-        if total != expected_total:
-            return (
-                f"non-crossing partitions of [{n}] formula={expected_total} "
-                f"bruteforce={total}"
-            )
+        yield f"non-crossing partitions of [{n}]", formulas.catalan(n), total
         for block_type, seen in tallies.items():
             expected = formulas.kreweras_count(block_type)
-            if seen != expected:
-                return (
-                    f"type {block_type.parts} of [{n}] formula={expected} "
-                    f"bruteforce={seen}"
-                )
-    return None
+            yield f"type {block_type.parts} of [{n}]", expected, seen
 
 
-def _check_rooted_forms(max_n: int) -> str | None:
-    """r(n, m) by the paper's double sum against the Lagrange-Buermann form."""
+def _rooted_forms(max_n: int) -> Iterator[tuple]:
+    """r(n, m) by the Lagrange-Buermann form against the paper's double sum."""
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
             paper = formulas.rooted_forest_paper_sum(n, m)
-            closed = formulas.rooted_forest_count(n, m)
-            if paper != closed:
-                return f"r(n={n}, m={m}) lagrange-burmann={closed} paper-sum={paper}"
-    return None
+            yield f"r(n={n}, m={m})", formulas.rooted_forest_count(n, m), paper
 
 
-def _check_type_sum(max_n: int) -> str | None:
+def _type_sum(max_n: int) -> Iterator[tuple]:
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
             via_types = formulas.type_sum_forest_count(n, m)
-            closed = formulas.forest_count(n, m)
-            if via_types != closed:
-                return f"f(n={n}, m={m}) formula={closed} type-sum={via_types}"
-    return None
+            yield f"f(n={n}, m={m})", formulas.forest_count(n, m), via_types
 
 
-def _check_series_identities(order: int) -> str | None:
-    """G, T and R at ``order``; each re-checks its defining identities itself
-    and raises ``ConsistencyError`` on a failure."""
+def _series_identities(order: int) -> Iterator[tuple]:
+    """No cases: G and R re-check their defining identities themselves and
+    raise ``ConsistencyError`` on a failure.  G comes first, so that its
+    failure names ``order``."""
     solve_ternary_gf(order)
-    tree_gf(order)
     rooted_gf(order)
-    return None
+    yield from ()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n_formula < 1 or args.max_n_brute < 1:
         raise ValueError("verification bounds must be >= 1")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     if args.max_n_brute > oracle.DIAGRAM_CAP:
         raise ValueError(
             f"--max-n-brute {args.max_n_brute} exceeds the enumeration cap "
             f"of {oracle.DIAGRAM_CAP}"
         )
+    # (check, its cases, their left and right names); each generator runs
+    # only when its check's turn comes.
     suites = (
         (
             f"formula-vs-series (n<={args.max_n_formula})",
-            lambda: _check_series_vs_formula(args.max_n_formula),
+            _series_vs_formula(args.max_n_formula),
+            "formula",
+            "series",
         ),
         (
             f"rooted-paper-sum-vs-lagrange-burmann (n<={args.max_n_formula})",
-            lambda: _check_rooted_forms(args.max_n_formula),
+            _rooted_forms(args.max_n_formula),
+            "lagrange-burmann",
+            "paper-sum",
         ),
         (
             f"formula-vs-bruteforce (n<={args.max_n_brute})",
-            lambda: _check_formula_vs_bruteforce(args.max_n_brute, args.threads),
+            _formula_vs_bruteforce(args.max_n_brute, args.threads),
+            "formula",
+            "bruteforce",
         ),
         (
             f"kreweras-vs-enumeration (N<={KREWERAS_VERIFY_MAX})",
-            lambda: _check_kreweras(KREWERAS_VERIFY_MAX),
+            _kreweras(KREWERAS_VERIFY_MAX),
+            "formula",
+            "bruteforce",
         ),
         (
             f"type-sum-vs-closed-form (n<={TYPE_SUM_VERIFY_MAX})",
-            lambda: _check_type_sum(TYPE_SUM_VERIFY_MAX),
+            _type_sum(TYPE_SUM_VERIFY_MAX),
+            "formula",
+            "type-sum",
         ),
         (
             f"series-identities (order {IDENTITY_ORDER})",
-            lambda: _check_series_identities(IDENTITY_ORDER),
+            _series_identities(IDENTITY_ORDER),
+            "",
+            "",
         ),
     )
     failures = 0
-    for name, run_check in suites:
+    for name, cases, left_name, right_name in suites:
         try:
-            mismatch = run_check()
+            mismatch = _first_mismatch(cases, left_name, right_name)
         except ConsistencyError as exc:
             mismatch = str(exc)
         if mismatch is None:

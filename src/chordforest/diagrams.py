@@ -124,30 +124,42 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
-def intersection_graph(diagram: ChordDiagram) -> IntersectionGraph:
-    chords = diagram.chords
+def _components(chords: Sequence[Chord]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Crossing pairs (i, j), i < j, of a canonical chord list (ascending
+    pairs, ascending starts), and a component label per chord: the index of
+    its component's union-find root."""
     n = len(chords)
     parent = list(range(n))
-    edges = set()
+    pairs = []
     for i in range(n):
+        b = chords[i][1]
         for j in range(i + 1, n):
-            if crosses(chords[i], chords[j]):
-                edges.add((i, j))
+            c, d = chords[j]
+            if c < b < d:  # chords[i] starts before chords[j], so this is a crossing
+                pairs.append((i, j))
                 ri, rj = _find(parent, i), _find(parent, j)
                 if ri != rj:
                     parent[rj] = ri
-    labels: dict[int, int] = {}
-    component_id = []
-    for i in range(n):
-        root = _find(parent, i)
-        if root not in labels:
-            labels[root] = len(labels)
-        component_id.append(labels[root])
-    sizes = [0] * len(labels)
-    for label in component_id:
-        sizes[label] += 1
+    return pairs, [_find(parent, i) for i in range(n)]
+
+
+def _sizes(roots: list[int]) -> dict[int, int]:
+    """Chords per component, keyed by component label in order of first appearance."""
+    sizes: dict[int, int] = {}
+    for root in roots:
+        sizes[root] = sizes.get(root, 0) + 1
+    return sizes
+
+
+def intersection_graph(diagram: ChordDiagram) -> IntersectionGraph:
+    edges, roots = _components(diagram.chords)
+    sizes = _sizes(roots)
+    consecutive = {root: label for label, root in enumerate(sizes)}
     return IntersectionGraph(
-        n, frozenset(edges), tuple(component_id), tuple(sorted(sizes))
+        diagram.n,
+        frozenset(edges),
+        tuple(consecutive[root] for root in roots),
+        tuple(sorted(sizes.values())),
     )
 
 
@@ -171,24 +183,10 @@ def classify_chords(chords: Sequence[Chord]) -> Classification:
     Acyclicity is decided by the edge count: the crossing graph is a forest
     iff it has exactly vertices - components edges.
     """
-    n = len(chords)
-    parent = list(range(n))
-    edge_count = 0
-    for i in range(n):
-        b = chords[i][1]
-        for j in range(i + 1, n):
-            c, d = chords[j]
-            if c < b < d:  # chords[i] starts before chords[j], so this is a crossing
-                edge_count += 1
-                ri, rj = _find(parent, i), _find(parent, j)
-                if ri != rj:
-                    parent[rj] = ri
-    sizes: dict[int, int] = {}
-    for i in range(n):
-        root = _find(parent, i)
-        sizes[root] = sizes.get(root, 0) + 1
+    edges, roots = _components(chords)
+    sizes = _sizes(roots)
     component_count = len(sizes)
-    is_forest = edge_count == n - component_count
+    is_forest = len(edges) == len(chords) - component_count
     return Classification(
         component_count,
         is_forest,

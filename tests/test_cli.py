@@ -10,12 +10,14 @@ import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ElementTree
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 import chordforest.cli
 import chordforest.formulas
+import chordforest.oracle
 from chordforest.cli import (
     EXIT_IO,
     EXIT_MISMATCH,
@@ -26,7 +28,13 @@ from chordforest.cli import (
 )
 from chordforest.diagrams import parse_diagram
 from chordforest.errors import ConsistencyError
-from chordforest.formulas import catalan, forest_count, rooted_forest_count, tree_count
+from chordforest.formulas import (
+    PartitionType,
+    catalan,
+    forest_count,
+    rooted_forest_count,
+    tree_count,
+)
 from chordforest.series import TruncatedSeries
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -358,6 +366,111 @@ class TestVerify:
         assert "check rooted-paper-sum-vs-lagrange-burmann (n<=6): FAIL" in out
         assert "first counterexample: r(n=4, m=2) lagrange-burmann=88 paper-sum=89" in out
 
+    @staticmethod
+    def _failure(capsys, check, counterexample):
+        code, out, _ = _run(capsys, "verify", "--max-n-formula", "4", "--max-n-brute", "3")
+        assert code == EXIT_MISMATCH
+        lines = out.splitlines()
+        index = lines.index(f"check {check}: FAIL")
+        assert lines[index + 1] == f"  first counterexample: {counterexample}"
+        assert lines[-1] == "1 of 6 checks failed"
+
+    @staticmethod
+    def _patch_brute_force(monkeypatch, at_n, **changes):
+        """brute_force_counts with ``changes(table)`` applied to its table at n = at_n."""
+        genuine = chordforest.oracle.brute_force_counts
+
+        def patched(n, **kwargs):
+            table = genuine(n, **kwargs)
+            if n != at_n:
+                return table
+            return replace(table, **{key: change(table) for key, change in changes.items()})
+
+        monkeypatch.setattr(chordforest.oracle, "brute_force_counts", patched)
+
+    def test_bruteforce_diagram_total_counterexample(self, capsys, monkeypatch):
+        self._patch_brute_force(
+            monkeypatch, 2, total_diagrams=lambda table: table.total_diagrams + 1
+        )
+        self._failure(
+            capsys, "formula-vs-bruteforce (n<=3)", "diagram total (n=2) formula=3 bruteforce=4"
+        )
+
+    def test_bruteforce_forest_cell_counterexample(self, capsys, monkeypatch):
+        self._patch_brute_force(
+            monkeypatch,
+            3,
+            forests_by_trees=lambda table: {**table.forests_by_trees, 2: 7},
+        )
+        self._failure(
+            capsys, "formula-vs-bruteforce (n<=3)", "f(n=3, m=2) formula=6 bruteforce=7"
+        )
+
+    def test_bruteforce_rooted_cell_counterexample(self, capsys, monkeypatch):
+        self._patch_brute_force(
+            monkeypatch,
+            3,
+            rooted_by_trees=lambda table: {**table.rooted_by_trees, 2: 0},
+        )
+        self._failure(
+            capsys, "formula-vs-bruteforce (n<=3)", "r(n=3, m=2) formula=12 bruteforce=0"
+        )
+
+    def test_kreweras_total_counterexample(self, capsys, monkeypatch):
+        genuine = chordforest.oracle.enumerate_noncrossing_partitions
+        one_block = PartitionType.from_block_sizes([5])
+
+        def patched(ground_size, **kwargs):
+            tallies = genuine(ground_size, **kwargs)
+            if ground_size == 5:
+                tallies[one_block] += 1
+            return tallies
+
+        monkeypatch.setattr(chordforest.oracle, "enumerate_noncrossing_partitions", patched)
+        self._failure(
+            capsys,
+            "kreweras-vs-enumeration (N<=9)",
+            "non-crossing partitions of [5] formula=42 bruteforce=43",
+        )
+
+    def test_kreweras_type_counterexample(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.kreweras_count
+        target = PartitionType.from_block_sizes([2, 1])
+
+        def corrupted(block_type, ground_size=None):
+            return genuine(block_type, ground_size) + (block_type == target)
+
+        monkeypatch.setattr(chordforest.formulas, "kreweras_count", corrupted)
+        self._failure(
+            capsys,
+            "kreweras-vs-enumeration (N<=9)",
+            "type ((1, 1), (2, 1)) of [3] formula=4 bruteforce=3",
+        )
+
+    def test_type_sum_counterexample(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.type_sum_forest_count
+
+        def corrupted(n, m):
+            return genuine(n, m) - ((n, m) == (5, 3))
+
+        monkeypatch.setattr(chordforest.formulas, "type_sum_forest_count", corrupted)
+        self._failure(
+            capsys, "type-sum-vs-closed-form (n<=12)", "f(n=5, m=3) formula=180 type-sum=179"
+        )
+
+    def test_inexact_series_quotient_is_shown_as_a_fraction(self, capsys, monkeypatch):
+        genuine = TruncatedSeries.coeff
+
+        def corrupted(series, index):
+            # [x^4] T^3 is 3; C(8, 2) * 4 / 3 is not an integer
+            is_t_cubed = series.coeffs[:5] == (0, 0, 0, 1, 3)
+            return genuine(series, index) + (index == 4 and is_t_cubed)
+
+        monkeypatch.setattr(TruncatedSeries, "coeff", corrupted)
+        self._failure(
+            capsys, "formula-vs-series (n<=4)", "f(n=4, m=3) formula=28 series=112/3"
+        )
+
     def test_failed_self_check_is_a_counterexample(self, capsys, monkeypatch):
         genuine = TruncatedSeries.pow
 
@@ -394,6 +507,12 @@ class TestVerify:
             "2",
         )
         assert code == EXIT_OK
+
+    def test_zero_threads_is_usage_error_before_any_check(self, capsys):
+        code, out, err = _run(capsys, "verify", "--threads", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --threads must be >= 1, got 0\n"
 
     def test_brute_bound_above_cap_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "verify", "--max-n-brute", "9")

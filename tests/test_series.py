@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import chordforest.series
 from chordforest.errors import ConsistencyError
 from chordforest.formulas import (
     binomial,
@@ -195,6 +196,18 @@ class TestTreeGF:
     def test_division_by_x_recovers_g(self):
         assert tree_gf(9).shift_div_x() == solve_ternary_gf(8)
 
+    def test_corrupted_power_is_caught_without_a_check_of_its_own(self, monkeypatch):
+        # T and R are built from G, whose self-check recomputes G^3 by pow.
+        genuine = TruncatedSeries.pow
+
+        def off_by_one(series, exponent):
+            return genuine(series, exponent) + TruncatedSeries.one(series.order)
+
+        monkeypatch.setattr(TruncatedSeries, "pow", off_by_one)
+        for build in (tree_gf, rooted_gf):
+            with pytest.raises(ConsistencyError):
+                build(10)
+
 
 class TestRootedGF:
     def test_coefficients_are_n_times_tree_counts(self):
@@ -211,6 +224,21 @@ class TestRootedGF:
             * (TruncatedSeries.x(40) - t.pow(2) * 3).shift_div_x().inverse()
         ).shift_mul_x()
         assert r == closed
+
+
+    @pytest.mark.parametrize("index", range(1, 11))
+    def test_wrong_tree_coefficient_is_caught(self, monkeypatch, index):
+        # The closed form equals x T' only when T satisfies x T = x^2 + T^3.
+        genuine = tree_gf
+
+        def off_by_one(order):
+            coeffs = list(genuine(order).coeffs)
+            coeffs[index] += 1
+            return TruncatedSeries(tuple(coeffs))
+
+        monkeypatch.setattr(chordforest.series, "tree_gf", off_by_one)
+        with pytest.raises(ConsistencyError, match="x T' disagrees with "):
+            rooted_gf(10)
 
 
 class TestCoeffOfPower:
