@@ -10,7 +10,6 @@ from .diagrams import (
     ChordDiagram,
     Classification,
     IntersectionGraph,
-    SupportPartition,
     blocks_cross,
     classify,
     crosses,
@@ -18,7 +17,6 @@ from .diagrams import (
     from_pairs,
     intersection_graph,
     parse_diagram,
-    support_partition,
 )
 from .errors import ConsistencyError, EnumerationCapError
 from .formulas import (
@@ -44,6 +42,6 @@ from .oracle import (
     enumerate_noncrossing_partitions,
     enumerate_types,
 )
-from .series import TruncatedSeries, coeff_of_power, rooted_gf, solve_ternary_gf, tree_gf
+from .series import TruncatedSeries, rooted_gf, solve_ternary_gf, tree_gf
 
 __version__ = "0.1.0"

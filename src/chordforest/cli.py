@@ -116,7 +116,12 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    cap = max(args.n, oracle.DIAGRAM_CAP) if args.force else oracle.DIAGRAM_CAP
+    if args.n > oracle.DIAGRAM_CAP and not args.force:
+        raise ValueError(
+            f"--n {args.n} exceeds the enumeration cap of {oracle.DIAGRAM_CAP}; "
+            "pass --force to override"
+        )
+    cap = max(args.n, oracle.DIAGRAM_CAP)
     table = oracle.brute_force_counts(args.n, cap=cap, threads=args.threads)
     print(f"n={table.n}")
     print(f"total-diagrams={table.total_diagrams}")
@@ -204,9 +209,8 @@ def _type_sum(max_n: int) -> Iterator[tuple]:
 
 def _series_identities(order: int) -> Iterator[tuple]:
     """No cases: G and R re-check their defining identities themselves and
-    raise ``ConsistencyError`` on a failure.  G comes first, so that its
-    failure names ``order``."""
-    solve_ternary_gf(order)
+    raise ``ConsistencyError`` on a failure.  ``rooted_gf(order)`` solves G
+    at ``order`` first, so a failure of G names ``order``."""
     rooted_gf(order)
     yield from ()
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import ConsistencyError
-
 Chord = tuple[int, int]
 
 __all__ = [
@@ -21,7 +19,6 @@ __all__ = [
     "ChordDiagram",
     "Classification",
     "IntersectionGraph",
-    "SupportPartition",
     "blocks_cross",
     "classify",
     "classify_chords",
@@ -31,7 +28,6 @@ __all__ = [
     "from_pairs",
     "intersection_graph",
     "parse_diagram",
-    "support_partition",
 ]
 
 
@@ -40,13 +36,11 @@ class ChordDiagram:
     """A perfect matching of {1..2n} in canonical form.
 
     ``chords`` holds the pairs (a, b) with a < b, ascending in a, so the
-    first chord always starts at point 1.  ``partner`` is the same matching
-    as an involution array (index 0 unused).  Instances are normally built
+    first chord always starts at point 1.  Instances are normally built
     through :func:`from_pairs` or :func:`parse_diagram`, which validate.
     """
 
     chords: tuple[Chord, ...]
-    partner: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -54,19 +48,6 @@ class ChordDiagram:
 
     def __str__(self) -> str:
         return format_diagram(self)
-
-
-def _partner_array(chords: tuple[Chord, ...]) -> tuple[int, ...]:
-    partner = [0] * (2 * len(chords) + 1)
-    for a, b in chords:
-        partner[a] = b
-        partner[b] = a
-    return tuple(partner)
-
-
-def _from_canonical(chords: tuple[Chord, ...]) -> ChordDiagram:
-    """Wrap an already-canonical chord tuple without re-validating."""
-    return ChordDiagram(chords, _partner_array(chords))
 
 
 def from_pairs(pairs: Iterable[tuple[int, int]], n: int | None = None) -> ChordDiagram:
@@ -92,7 +73,7 @@ def from_pairs(pairs: Iterable[tuple[int, int]], n: int | None = None) -> ChordD
     if len(pair_list) < n:
         raise ValueError(f"point {seen.index(False, 1)} is unmatched")
     chords = tuple(sorted((a, b) if a < b else (b, a) for a, b in pair_list))
-    return _from_canonical(chords)
+    return ChordDiagram(chords)
 
 
 def crosses(chord1: Chord, chord2: Chord) -> bool:
@@ -217,33 +198,6 @@ def blocks_cross(block1: Sequence[int], block2: Sequence[int]) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class SupportPartition:
-    """Endpoint sets of a diagram's components, as sorted blocks sorted by minimum."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-
-def support_partition(diagram: ChordDiagram) -> SupportPartition:
-    """Partition {1..2n} into the endpoint sets of the diagram's components.
-
-    The blocks of this partition never cross; that fact is re-checked here
-    and a failure raises ConsistencyError.
-    """
-    graph = intersection_graph(diagram)
-    grouped: dict[int, list[int]] = {}
-    for index, label in enumerate(graph.component_id):
-        grouped.setdefault(label, []).extend(diagram.chords[index])
-    blocks = sorted(sorted(points) for points in grouped.values())
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if blocks_cross(blocks[i], blocks[j]):
-                raise ConsistencyError(
-                    f"component supports {blocks[i]} and {blocks[j]} cross"
-                )
-    return SupportPartition(tuple(tuple(block) for block in blocks))
-
-
 def parse_diagram(text: str) -> ChordDiagram:
     """Parse the text form ``a-b,c-d,...`` with 1-based labels."""
     pairs = []
@@ -259,7 +213,7 @@ def parse_diagram(text: str) -> ChordDiagram:
 
 
 def format_diagram(diagram: ChordDiagram) -> str:
-    """Canonical text form ``a-b,c-d,...``; inverse of :func:`parse_diagram`."""
+    """Canonical text form ``a-b,c-d,...``, as :func:`parse_diagram` reads it."""
     return format_chords(diagram.chords)
 
 

@@ -19,7 +19,7 @@ import os
 from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass
 
-from .diagrams import Chord, ChordDiagram, _from_canonical, blocks_cross, classify_chords
+from .diagrams import Chord, ChordDiagram, blocks_cross, classify_chords
 from .errors import EnumerationCapError
 from .formulas import PartitionType
 
@@ -80,7 +80,7 @@ def enumerate_diagrams(
     for chords in _iter_pairings(tuple(range(1, 2 * n + 1))):
         count += 1
         if visit is not None:
-            visit(_from_canonical(chords))
+            visit(ChordDiagram(chords))
     return count
 
 

@@ -2,9 +2,7 @@
 
 A :class:`TruncatedSeries` holds integer coefficients c_0..c_N of a series
 known modulo x^(N+1).  Arithmetic is exact; truncation only ever discards
-high-order terms.  Division (series inverse, division by x^k) is restricted
-to the cases that keep coefficients integral and raises ``ValueError``
-otherwise.
+high-order terms.
 
 The three series of interest are built from their functional equations, not
 from the closed-form counts, so their coefficients are an independent route
@@ -17,7 +15,6 @@ to the same numbers:
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import mul
 
@@ -25,7 +22,6 @@ from .errors import ConsistencyError
 
 __all__ = [
     "TruncatedSeries",
-    "coeff_of_power",
     "rooted_gf",
     "solve_ternary_gf",
     "tree_gf",
@@ -43,18 +39,6 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least the constant term")
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def from_coeffs(
-        cls, coeffs: Iterable[int], order: int | None = None
-    ) -> "TruncatedSeries":
-        """Build from low-order-first coefficients, zero-padded or cut to ``order``."""
-        values = tuple(int(value) for value in coeffs)
-        if order is not None:
-            if order < 0:
-                raise ValueError(f"order must be >= 0, got {order}")
-            values = values[: order + 1] + (0,) * (order + 1 - len(values))
-        return cls(values)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -125,9 +109,6 @@ class TruncatedSeries:
             tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1))
         )
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-value for value in self.coeffs))
-
     def __mul__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
         if isinstance(other, int):
             return TruncatedSeries(tuple(value * other for value in self.coeffs))
@@ -145,8 +126,6 @@ class TruncatedSeries:
                         out[i + j] += ai * bj
         return TruncatedSeries(tuple(out))
 
-    __rmul__ = __mul__
-
     def pow(self, exponent: int) -> "TruncatedSeries":
         """Nonnegative integer power, by repeated squaring at this order."""
         if exponent < 0:
@@ -162,8 +141,6 @@ class TruncatedSeries:
                 base = base * base
         return result
 
-    __pow__ = pow
-
     def derivative(self) -> "TruncatedSeries":
         """Termwise d/dx; the result is known to one order less."""
         if self.order == 0:
@@ -177,38 +154,6 @@ class TruncatedSeries:
         if k < 0:
             raise ValueError(f"shift_mul_x requires k >= 0, got {k}")
         return TruncatedSeries((0,) * k + self.coeffs)
-
-    def shift_div_x(self, k: int = 1) -> "TruncatedSeries":
-        """Divide by x^k; the first k coefficients must vanish."""
-        if k < 1 or k > self.order:
-            raise ValueError(f"shift_div_x needs 1 <= k <= {self.order}, got {k}")
-        for i in range(k):
-            if self.coeffs[i]:
-                raise ValueError(
-                    f"cannot divide by x^{k}: coefficient of x^{i} is "
-                    f"{self.coeffs[i]}, not 0"
-                )
-        return TruncatedSeries(self.coeffs[k:])
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse, defined here only for constant term +-1.
-
-        That restriction keeps every coefficient an integer:
-        b_0 = 1/c_0 and b_i = -(1/c_0) sum_{k=1..i} c_k b_{i-k}.
-        """
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError(f"series inverse needs constant term +-1, got {c0}")
-        inv = [0] * (self.order + 1)
-        inv[0] = c0
-        for i in range(1, self.order + 1):
-            acc = 0
-            for k in range(1, i + 1):
-                ck = self.coeffs[k]
-                if ck:
-                    acc += ck * inv[i - k]
-            inv[i] = -c0 * acc
-        return TruncatedSeries(tuple(inv))
 
 
 def solve_ternary_gf(order: int) -> TruncatedSeries:
@@ -259,27 +204,18 @@ def tree_gf(order: int) -> TruncatedSeries:
 def rooted_gf(order: int) -> TruncatedSeries:
     """Series R = sum n t_n x^n counting tree diagrams with a marked root chord.
 
-    Computed as R = x T' and re-derived through the closed form
-    R = x (2x - T) / (x - 3 T^2); the two must agree exactly.
+    Computed as R = x T' and checked against the closed form
+    R = x (2x - T) / (x - 3 T^2) by cross-multiplying:
+    R (x - 3 T^2) = x (2x - T).  Since x - 3 T^2 has no constant term, the
+    product's coefficient of x^(k+1) is the first to involve r_k, so T and R
+    are built one order higher than asked for; otherwise the top coefficient
+    of R would go unchecked.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    t = tree_gf(order)
+    t = tree_gf(order + 1)
     r = t.derivative().shift_mul_x()
-    numerator = TruncatedSeries.x(order) * 2 - t
-    denominator = TruncatedSeries.x(order) - t.pow(2) * 3
-    closed = (numerator.shift_div_x() * denominator.shift_div_x().inverse()).shift_mul_x()
-    if r != closed:
+    x = TruncatedSeries.x(order + 1)
+    if r * (x - t.pow(2) * 3) != (x * 2 - t).shift_mul_x().truncate(order + 1):
         raise ConsistencyError("x T' disagrees with x (2x - T) / (x - 3 T^2)")
-    return r
-
-
-def coeff_of_power(series: TruncatedSeries, exponent: int, degree: int) -> int:
-    """Exact [x^degree] series^exponent."""
-    if exponent < 1:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
-    if degree < 0 or degree > series.order:
-        raise ValueError(
-            f"degree {degree} is outside the truncation order {series.order}"
-        )
-    return series.pow(exponent).coeff(degree)
+    return r.truncate(order)

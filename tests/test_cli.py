@@ -5,6 +5,7 @@ subprocess test covers the ``python -m chordforest`` entry point.
 """
 
 import errno
+import hashlib
 import json
 import math
 import subprocess
@@ -273,6 +274,19 @@ class TestSeries:
         assert out == ""
         assert "0..600" in err
 
+    @pytest.mark.parametrize(
+        "which, sha256",
+        [
+            ("G", "33321f3a3fbe132ddca8bf0ec6d354a3206b5d1797ba5e04921fd7ebe194c0a4"),
+            ("T", "cf5c7deeea9ff1641fcc1393d7c447614dd996c566362e87a2a18cabd78065f4"),
+            ("R", "63f63071a8398822896e209ae704510435999b08b564b7d32ef643c0d9d929bd"),
+        ],
+    )
+    def test_order_three_hundred_stdout_is_pinned(self, capsys, which, sha256):
+        code, out, _ = _run(capsys, "series", "--which", which, "--order", "300")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
 
 class TestEnumerate:
     def test_totals_for_two_chords(self, capsys):
@@ -309,6 +323,18 @@ class TestEnumerate:
         code, _, err = _run(capsys, "enumerate", "--n", "9")
         assert code == EXIT_USAGE
         assert "cap" in err
+
+    def test_above_cap_error_names_force_before_any_sweep(self, capsys, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(chordforest.oracle, "brute_force_counts", sweep)
+        code, out, err = _run(capsys, "enumerate", "--n", "9")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: --n 9 exceeds the enumeration cap of 8; pass --force to override\n"
+        )
 
     def test_force_allows_small_n_anyway(self, capsys):
         code, _, _ = _run(capsys, "enumerate", "--n", "3", "--force")

@@ -1,4 +1,4 @@
-"""Diagram model: validation, crossings, components, support partitions.
+"""Diagram model: validation, crossings, components, component supports.
 
 The running example is the five-chord diagram 1-8,2-9,3-5,7-10,4-6, whose
 crossing graph is a triangle on the chords (1,8), (2,9), (7,10) plus an
@@ -19,7 +19,6 @@ from chordforest.diagrams import (
     from_pairs,
     intersection_graph,
     parse_diagram,
-    support_partition,
 )
 from chordforest.oracle import enumerate_diagrams
 
@@ -32,14 +31,32 @@ def _all_diagrams(n):
     return collected
 
 
+def _supports(diagram):
+    """Endpoint sets of the diagram's components, as sorted blocks sorted by minimum."""
+    grouped = {}
+    for index, label in enumerate(intersection_graph(diagram).component_id):
+        grouped.setdefault(label, []).extend(diagram.chords[index])
+    return tuple(sorted(tuple(sorted(points)) for points in grouped.values()))
+
+
+def _crossing_supports(blocks):
+    return [
+        (one, other)
+        for one, other in itertools.combinations(blocks, 2)
+        if blocks_cross(one, other)
+    ]
+
+
+def _endpoints(diagram):
+    return sorted(point for chord in diagram.chords for point in chord)
+
+
 class TestFromPairs:
     def test_five_chord_example(self):
         diagram = from_pairs(FIVE_CHORD_PAIRS, n=5)
         assert diagram.n == 5
         assert diagram.chords == ((1, 8), (2, 9), (3, 5), (4, 6), (7, 10))
-        for point in range(1, 11):
-            assert diagram.partner[diagram.partner[point]] == point
-            assert diagram.partner[point] != point
+        assert _endpoints(diagram) == list(range(1, 11))
 
     def test_single_chord(self):
         assert from_pairs([(1, 2)]).chords == ((1, 2),)
@@ -196,25 +213,26 @@ class TestBlocksCross:
 
 
 class TestSupportPartition:
+    """The endpoint sets of a diagram's components never cross."""
+
     def test_five_chord_example(self):
-        partition = support_partition(from_pairs(FIVE_CHORD_PAIRS))
-        assert partition.blocks == ((1, 2, 7, 8, 9, 10), (3, 4, 5, 6))
+        blocks = _supports(from_pairs(FIVE_CHORD_PAIRS))
+        assert blocks == ((1, 2, 7, 8, 9, 10), (3, 4, 5, 6))
+        assert _crossing_supports(blocks) == []
 
     def test_trivial_cases(self):
-        assert support_partition(from_pairs([(1, 2)])).blocks == ((1, 2),)
-        assert support_partition(from_pairs([(1, 2), (3, 4)])).blocks == (
-            (1, 2),
-            (3, 4),
-        )
+        assert _supports(from_pairs([(1, 2)])) == ((1, 2),)
+        assert _supports(from_pairs([(1, 2), (3, 4)])) == ((1, 2), (3, 4))
 
     def test_sweep_never_crosses_and_blocks_double_tree_sizes(self):
         for n in range(1, 7):
             for diagram in _all_diagrams(n):
-                partition = support_partition(diagram)  # raises on a crossing
+                blocks = _supports(diagram)
+                assert _crossing_supports(blocks) == []
                 graph = intersection_graph(diagram)
-                block_sizes = tuple(sorted(len(block) for block in partition.blocks))
+                block_sizes = tuple(sorted(len(block) for block in blocks))
                 assert block_sizes == tuple(2 * s for s in graph.component_sizes)
-                assert sorted(p for block in partition.blocks for p in block) == list(
+                assert sorted(p for block in blocks for p in block) == list(
                     range(1, 2 * n + 1)
                 )
 
@@ -250,11 +268,11 @@ def test_random_pairings_are_consistent(points):
     graph = intersection_graph(diagram)
     assert shape.component_count == len(graph.component_sizes)
     assert shape.is_forest == (len(graph.edges) == diagram.n - shape.component_count)
-    support_partition(diagram)  # must not raise
+    assert _crossing_supports(_supports(diagram)) == []
     assert parse_diagram(format_diagram(diagram)) == diagram
-    # the pair list and the involution array describe the same matching
+    # the chords are ascending pairs that use every point once
+    assert _endpoints(diagram) == list(range(1, 13))
     for a, b in diagram.chords:
         assert a < b
-        assert diagram.partner[a] == b and diagram.partner[b] == a
     starts = [a for a, _ in diagram.chords]
     assert starts == sorted(starts) and starts[0] == 1

@@ -19,7 +19,6 @@ from chordforest.formulas import (
 )
 from chordforest.series import (
     TruncatedSeries,
-    coeff_of_power,
     rooted_gf,
     solve_ternary_gf,
     tree_gf,
@@ -52,8 +51,8 @@ coeff_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=10)
 
 class TestRingOperations:
     def test_product_of_conjugates(self):
-        one_plus = TruncatedSeries.from_coeffs([1, 1], order=3)
-        one_minus = TruncatedSeries.from_coeffs([1, -1], order=3)
+        one_plus = TruncatedSeries((1, 1, 0, 0))
+        one_minus = TruncatedSeries((1, -1, 0, 0))
         assert (one_plus * one_minus).coeffs == (1, 0, -1, 0)
 
     @given(coeff_lists, coeff_lists)
@@ -77,61 +76,36 @@ class TestRingOperations:
         assert sa * (sb + sc) == sa * sb + sa * sc
 
     def test_pow_matches_repeated_mul(self):
-        base = TruncatedSeries.from_coeffs([0, 1, 2, -1, 3], order=8)
+        base = TruncatedSeries((0, 1, 2, -1, 3, 0, 0, 0, 0))
         running = TruncatedSeries.one(8)
         for exponent in range(7):
             assert base.pow(exponent) == running
             running = running * base
 
     def test_pow_zero_and_negative(self):
-        base = TruncatedSeries.from_coeffs([2, 1], order=4)
+        base = TruncatedSeries((2, 1, 0, 0, 0))
         assert base.pow(0) == TruncatedSeries.one(4)
         with pytest.raises(ValueError):
             base.pow(-1)
 
     def test_derivative(self):
-        series = TruncatedSeries.from_coeffs([7, 1, 1, 3, 12], order=4)
+        series = TruncatedSeries((7, 1, 1, 3, 12))
         assert series.derivative().coeffs == (1, 2, 9, 48)
         assert TruncatedSeries.one(0).derivative().is_zero()
 
     def test_shift_mul_x(self):
-        series = TruncatedSeries.from_coeffs([1, 2], order=1)
+        series = TruncatedSeries((1, 2))
         assert series.shift_mul_x().coeffs == (0, 1, 2)
         assert series.shift_mul_x(3).coeffs == (0, 0, 0, 1, 2)
 
-    def test_shift_div_x(self):
-        series = TruncatedSeries.from_coeffs([0, 0, 0, 1], order=3)
-        assert series.shift_div_x().coeffs == (0, 0, 1)
-        assert series.shift_div_x(3).coeffs == (1,)
-
-    def test_shift_div_x_rejects_nonzero_low_terms(self):
-        series = TruncatedSeries.from_coeffs([0, 5, 1], order=2)
-        with pytest.raises(ValueError, match="coefficient of x\\^1"):
-            series.shift_div_x(2)
-
-    def test_inverse_of_one_minus_x(self):
-        series = TruncatedSeries.from_coeffs([1, -1], order=6)
-        assert series.inverse().coeffs == (1,) * 7
-
-    @given(coeff_lists, st.sampled_from([1, -1]))
-    def test_inverse_is_two_sided(self, tail, unit):
-        series = TruncatedSeries(tuple([unit] + tail))
-        assert (series * series.inverse()) == TruncatedSeries.one(series.order)
-
-    def test_inverse_needs_unit_constant_term(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries.from_coeffs([2, 1], order=3).inverse()
-        with pytest.raises(ValueError):
-            TruncatedSeries.from_coeffs([0, 1], order=3).inverse()
-
     def test_coeff_bounds(self):
-        series = TruncatedSeries.from_coeffs([1, 2, 3], order=2)
+        series = TruncatedSeries((1, 2, 3))
         assert series.coeff(2) == 3
         with pytest.raises(ValueError):
             series.coeff(3)
 
     def test_truncate(self):
-        series = TruncatedSeries.from_coeffs([1, 2, 3], order=2)
+        series = TruncatedSeries((1, 2, 3))
         assert series.truncate(1).coeffs == (1, 2)
         with pytest.raises(ValueError):
             series.truncate(5)
@@ -194,7 +168,7 @@ class TestTreeGF:
         assert residual.is_zero()
 
     def test_division_by_x_recovers_g(self):
-        assert tree_gf(9).shift_div_x() == solve_ternary_gf(8)
+        assert tree_gf(9).coeffs == (0,) + solve_ternary_gf(8).coeffs
 
     def test_corrupted_power_is_caught_without_a_check_of_its_own(self, monkeypatch):
         # T and R are built from G, whose self-check recomputes G^3 by pow.
@@ -217,14 +191,14 @@ class TestRootedGF:
             assert r.coeff(n) == n * tree_count(n)
 
     def test_closed_form_route_agrees_at_forty(self):
-        t = tree_gf(40)
+        # R (x - 3 T^2) = x (2x - T), with T one order higher so that the
+        # product reaches r_40; r_41 would meet the zero constant term of
+        # x - 3 T^2, so a zero stands in for it
+        t = tree_gf(41)
+        x = TruncatedSeries.x(41)
         r = rooted_gf(40)
-        closed = (
-            (TruncatedSeries.x(40) * 2 - t).shift_div_x()
-            * (TruncatedSeries.x(40) - t.pow(2) * 3).shift_div_x().inverse()
-        ).shift_mul_x()
-        assert r == closed
-
+        product = TruncatedSeries(r.coeffs + (0,)) * (x - t.pow(2) * 3)
+        assert product == (x * 2 - t).shift_mul_x().truncate(41)
 
     @pytest.mark.parametrize("index", range(1, 11))
     def test_wrong_tree_coefficient_is_caught(self, monkeypatch, index):
@@ -241,27 +215,36 @@ class TestRootedGF:
             rooted_gf(10)
 
 
+    @pytest.mark.parametrize("index", range(10))
+    def test_wrong_derivative_coefficient_is_caught(self, monkeypatch, index):
+        # Index 9 of T' at order 11 is r_10, the top coefficient of
+        # rooted_gf(10); with T built at order 10 it would go unchecked.
+        genuine = TruncatedSeries.derivative
+
+        def off_by_one(series):
+            coeffs = list(genuine(series).coeffs)
+            coeffs[index] += 1
+            return TruncatedSeries(tuple(coeffs))
+
+        monkeypatch.setattr(TruncatedSeries, "derivative", off_by_one)
+        with pytest.raises(ConsistencyError, match="x T' disagrees with "):
+            rooted_gf(10)
+
+
 class TestCoeffOfPower:
     def test_spot_values(self):
         t = tree_gf(10)
         r = rooted_gf(10)
-        assert coeff_of_power(t, 1, 4) == 12
-        assert coeff_of_power(t, 3, 3) == 1  # only t_1^3 contributes
-        assert coeff_of_power(t, 2, 3) == 2  # 2 t_1 t_2
-        assert coeff_of_power(r, 2, 4) == 2 * 9 + 2 * 2  # 2 r_1 r_3 + r_2^2
+        assert t.pow(1).coeff(4) == 12
+        assert t.pow(3).coeff(3) == 1  # only t_1^3 contributes
+        assert t.pow(2).coeff(3) == 2  # 2 t_1 t_2
+        assert r.pow(2).coeff(4) == 2 * 9 + 2 * 2  # 2 r_1 r_3 + r_2^2
 
     def test_valuation(self):
         t = tree_gf(8)
         for m in range(1, 9):
             for n in range(m):
-                assert coeff_of_power(t, m, n) == 0
-
-    def test_errors(self):
-        t = tree_gf(4)
-        with pytest.raises(ValueError):
-            coeff_of_power(t, 0, 2)
-        with pytest.raises(ValueError):
-            coeff_of_power(t, 2, 5)
+                assert t.pow(m).coeff(n) == 0
 
 
 class TestBridgesToClosedForms:
