@@ -32,6 +32,8 @@ KREWERAS_VERIFY_MAX = 9
 TYPE_SUM_VERIFY_MAX = 12
 IDENTITY_ORDER = 40
 SERIES_ORDER_CAP = 600
+# --threads selects nothing; it is parsed so existing command lines still run.
+THREADS_HELP = "kept for compatibility; has no effect (must be >= 1)"
 
 __all__ = ["build_parser", "diagram_to_svg", "entry", "main"]
 
@@ -116,13 +118,15 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     if args.n > oracle.DIAGRAM_CAP and not args.force:
         raise ValueError(
             f"--n {args.n} exceeds the enumeration cap of {oracle.DIAGRAM_CAP}; "
             "pass --force to override"
         )
     cap = max(args.n, oracle.DIAGRAM_CAP)
-    table = oracle.brute_force_counts(args.n, cap=cap, threads=args.threads)
+    table = oracle.brute_force_counts(args.n, cap=cap)
     print(f"n={table.n}")
     print(f"total-diagrams={table.total_diagrams}")
     print(f"total-forests={table.total_forests}")
@@ -170,9 +174,9 @@ def _series_vs_formula(max_n: int) -> Iterator[tuple]:
                 yield f"{label}(n={n}, m={m})", closed_form(n, m), series
 
 
-def _formula_vs_bruteforce(max_n: int, threads: int) -> Iterator[tuple]:
+def _formula_vs_bruteforce(max_n: int) -> Iterator[tuple]:
     for n in range(1, max_n + 1):
-        table = oracle.brute_force_counts(n, threads=threads)
+        table = oracle.brute_force_counts(n)
         total = formulas.double_factorial_pairings(n)
         yield f"diagram total (n={n})", total, table.total_diagrams
         for m in range(1, n + 1):
@@ -242,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ),
         (
             f"formula-vs-bruteforce (n<={args.max_n_brute})",
-            _formula_vs_bruteforce(args.max_n_brute, args.threads),
+            _formula_vs_bruteforce(args.max_n_brute),
             "formula",
             "bruteforce",
         ),
@@ -393,12 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=7,
         help="bound for the exhaustive sweep (default 7)",
     )
-    verify.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker processes for the exhaustive sweep (at most one per core)",
-    )
+    verify.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     verify.set_defaults(handler=cmd_verify)
 
     series_cmd = sub.add_parser("series", help="print generating-series coefficients")
@@ -411,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum_cmd.add_argument(
         "--list", action="store_true", help="also print every forest diagram"
     )
-    enum_cmd.add_argument("--threads", type=int, default=1)
+    enum_cmd.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     enum_cmd.add_argument(
         "--force", action="store_true", help="allow n above the default cap"
     )

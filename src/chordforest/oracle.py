@@ -1,22 +1,23 @@
 """Exhaustive enumeration: the ground truth.
 
 Everything the closed forms and the series engine compute is re-derivable
-here by brute force.  Forest diagrams come from a depth-first sweep that
-places chords in canonical order and cuts a branch at its first cycle
-(:func:`iter_forests`); the diagrams it cuts are counted, not visited.  The
-deliberately dumb sweep over all (2n-1)!! pairings
-(:func:`enumerate_diagrams`, with :func:`~.diagrams.classify_chords` on each
-one) is kept as its test oracle.  Set partitions of [N] and forest type
-vectors are enumerated in full.  Enumeration order is deterministic, and
-sizes are guarded by caps so a typo'd n fails fast instead of running for
-hours; pass a larger ``cap`` explicitly to go above a default.
+here by brute force.  The per-m tallies come from a transfer-matrix scan
+over the circle's points (:func:`brute_force_counts`) that uses only the
+crossing rule and acyclicity.  A depth-first sweep that places chords in
+canonical order and cuts a branch at its first cycle (:func:`iter_forests`)
+lists the forest diagrams themselves.  The deliberately dumb sweep over all
+(2n-1)!! pairings (:func:`enumerate_diagrams`, with
+:func:`~.diagrams.classify_chords` on each one) is kept as the test oracle
+of both.  Set partitions of [N] and forest type vectors are enumerated in
+full.  Enumeration order is deterministic, and sizes are guarded by caps so
+a typo'd n fails fast instead of running for hours; pass a larger ``cap``
+explicitly to go above a default.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from collections.abc import Callable, Generator, Iterable, Iterator
+from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .diagrams import Chord, ChordDiagram, blocks_cross, classify_chords
@@ -37,9 +38,8 @@ __all__ = [
     "iter_forests",
 ]
 
-# (chords, ascending tree sizes) per forest; the return value counts the
-# diagrams cut away.
-ForestSweep = Generator[tuple[tuple[Chord, ...], tuple[int, ...]], None, int]
+# (chords, ascending tree sizes) per forest
+ForestSweep = Iterator[tuple[tuple[Chord, ...], tuple[int, ...]]]
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -131,29 +131,19 @@ def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
 
     Yields ``(chords, sizes)``: the canonical chord tuple and the chords per
     tree, ascending, in the order :func:`enumerate_diagrams` meets the
-    forests.  The generator returns the number of non-forest diagrams it cut
-    away, so that number plus the forests yielded is (2n-1)!!.
+    forests.
+
+    The sweep is depth-first and cycle-pruned.  Chords are placed in
+    canonical order: the smallest unmatched point a is paired with each
+    larger unmatched point b in turn.  Every placed chord starts below a, so
+    the new chord (a, b) crosses exactly the placed chords whose right end
+    lies in (a, b).  If two of those share a component, (a, b) closes a
+    cycle, and so does every (a, b') with a larger b', whose interval holds
+    the same chords and more.  The loop stops there.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_cap(n, cap, "forest sweep")
-    return _forest_sweep(n, range(2, 2 * n + 1))
-
-
-def _forest_sweep(n: int, first_partners: Iterable[int]) -> ForestSweep:
-    """The cycle-pruned depth-first sweep behind :func:`iter_forests`.
-
-    Chords are placed in canonical order: the smallest unmatched point a is
-    paired with each larger unmatched point b in turn.  Every placed chord
-    starts below a, so the new chord (a, b) crosses exactly the placed
-    chords whose right end lies in (a, b).  If two of those share a
-    component, (a, b) closes a cycle, and so does every (a, b') with a
-    larger b', whose interval holds the same chords and more.  The loop
-    stops there; the completions of the pairs it skips are counted.
-
-    ``first_partners`` are the partners of point 1 to try, so one partner
-    gives one first-chord branch of the sweep.
-    """
     top = 2 * n
     # label[p] is 0 while p is unmatched.  Once p is the right end of a
     # placed chord, it names that chord's component.  Left ends lie below
@@ -162,30 +152,17 @@ def _forest_sweep(n: int, first_partners: Iterable[int]) -> ForestSweep:
     # component label -> right ends of its chords.  A new chord (a, b) and
     # the components it joins take the label b, restored on backtrack.
     components: dict[int, list[int]] = {}
-    # completions[k] = (2k-1)!!, the matchings of 2k unmatched points
-    completions = [1]
-    for k in range(1, n):
-        completions.append(completions[-1] * (2 * k - 1))
-    cut = 0
 
-    def place(
-        a: int, partners: Iterable[int], chords: tuple[Chord, ...], left: int
-    ) -> Iterator[tuple[tuple[Chord, ...], tuple[int, ...]]]:
+    def place(a: int, chords: tuple[Chord, ...], left: int) -> ForestSweep:
         # left: the chords still to place, (a, b) included
-        nonlocal cut
         crossed: list[int] = []
-        tried = 0
-        for b in partners:
+        for b in range(a + 1, top + 1):
             component = label[b]
             if component:
                 if component in crossed:
-                    # Each untried partner of a (of the 2*left - 1 unmatched
-                    # points above it) closes the same cycle.
-                    cut += (2 * left - 1 - tried) * completions[left - 1]
                     return
                 crossed.append(component)
                 continue
-            tried += 1
             joined = [components.pop(c) for c in crossed]
             members = [b]
             for group in joined:
@@ -200,9 +177,7 @@ def _forest_sweep(n: int, first_partners: Iterable[int]) -> ForestSweep:
                 following = a + 1
                 while label[following]:
                     following += 1
-                yield from place(
-                    following, range(following + 1, top + 1), placed, left - 1
-                )
+                yield from place(following, placed, left - 1)
             del components[b]
             label[b] = 0
             for c, group in zip(crossed, joined):
@@ -210,82 +185,86 @@ def _forest_sweep(n: int, first_partners: Iterable[int]) -> ForestSweep:
                 for q in group:
                     label[q] = c
 
-    yield from place(1, first_partners, (), n)
-    return cut
+    return place(1, (), n)
 
 
-def _tally_forests(sweep: ForestSweep) -> tuple[dict[int, int], dict[int, int], int]:
-    forests: dict[int, int] = {}
-    rooted: dict[int, int] = {}
-    visited = 0
-    while True:
-        try:
-            _, sizes = next(sweep)
-        except StopIteration as done:
-            return forests, rooted, visited + done.value
-        visited += 1
-        m = len(sizes)
-        forests[m] = forests.get(m, 0) + 1
-        rooted[m] = rooted.get(m, 0) + math.prod(sizes)
+# A scan state: the component label of each open chord, in opening order,
+# and the chord count of each component, mapped to {m: [scans, sum of
+# finished tree-size products]}.
+ScanLayer = dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, list[int]]]
 
 
-def _tally_branch(n: int, partner: int) -> tuple[dict[int, int], dict[int, int], int]:
-    """Tallies of the forests whose first chord is (1, partner); runs in a worker."""
-    return _tally_forests(_forest_sweep(n, (partner,)))
+def _carry(layer: ScanLayer, state, tallies: dict[int, list[int]]) -> None:
+    target = layer.setdefault(state, {})
+    for m, (scans, weight) in tallies.items():
+        entry = target.setdefault(m, [0, 0])
+        entry[0] += scans
+        entry[1] += weight
 
 
-def brute_force_counts(n: int, cap: int = DIAGRAM_CAP, threads: int = 1) -> CountTable:
+def brute_force_counts(n: int, cap: int = DIAGRAM_CAP) -> CountTable:
     """Tally the forest diagrams of size n, and rooted forests, by m.
 
-    The forests come from the cycle-pruned sweep of :func:`iter_forests`,
-    and ``total_diagrams`` adds the diagrams it cut.  ``threads`` > 1 runs
-    the 2n-1 branches for the partner of point 1 in worker processes, as
-    many as ``threads`` but never more than branches or cores; the merged
-    table is identical to the single-process one.  Workers need a main
-    program they can import, so more than one worker raises ``ValueError``
-    when the main program was read from stdin (``python -``).
+    A transfer-matrix scan over the 2n points, one layer per point: each
+    point opens a chord or closes one still open.  A closing chord crosses
+    exactly the open chords opened after it, and a close that joins two
+    chords of one component closes a cycle.  The scan uses nothing but
+    that crossing rule and acyclicity, no counting theorem.
+
+    Labels are renumbered by first appearance, so equal states meet.  A
+    component left with no open chord is a finished tree: one more m, and
+    its size multiplies the rooted weight.  Scans that have closed a cycle
+    are kept apart, by their open chords only, so that ``total_diagrams``
+    counts them too.  Only the current layer and the next are alive.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     _check_cap(n, cap, "diagram sweep")
-    partners = range(2, 2 * n + 1)
-    workers = min(threads, len(partners), os.cpu_count() or 1)
-    if workers == 1:
-        forests, rooted, total = _tally_forests(_forest_sweep(n, partners))
-    else:
-        # Imported here: a module-level import of the pool would slow every CLI start.
-        import multiprocessing
-        import sys
-        from concurrent.futures import ProcessPoolExecutor
-
-        # A spawned worker re-runs the main program from its file unless it
-        # was run as a module; a program read from stdin has no file, and
-        # every worker would die.
-        main = sys.modules["__main__"]
-        path = getattr(main, "__file__", None)
-        run_as_module = getattr(getattr(main, "__spec__", None), "name", None)
-        if run_as_module is None and path and not os.path.isfile(path):
-            raise ValueError(
-                f"threads={threads} runs worker processes, which re-run the main "
-                f"program from its file, but it was read from {path}; run it from "
-                "a file or pass threads=1"
-            )
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-        ) as pool:
-            partials = list(pool.map(_tally_branch, [n] * len(partners), partners))
-        forests, rooted, total = {}, {}, 0
-        for part_forests, part_rooted, part_total in partials:
-            total += part_total
-            for m, value in part_forests.items():
-                forests[m] = forests.get(m, 0) + value
-            for m, value in part_rooted.items():
-                rooted[m] = rooted.get(m, 0) + value
-    return CountTable(
-        n, dict(sorted(forests.items())), dict(sorted(rooted.items())), total
-    )
+    layer: ScanLayer = {((), ()): {0: [1, 1]}}
+    cyclic: Counter[int] = Counter()  # open chords -> scans that closed a cycle
+    for left in range(2 * n, 0, -1):
+        following: ScanLayer = {}
+        following_cyclic: Counter[int] = Counter()
+        # An open needs a later point for every chord then open.
+        for open_chords, scans in cyclic.items():
+            if open_chords + 1 < left:
+                following_cyclic[open_chords + 1] += scans
+            if open_chords:
+                following_cyclic[open_chords - 1] += open_chords * scans
+        for (labels, sizes), tallies in layer.items():
+            if len(labels) + 1 < left:
+                _carry(following, (labels + (len(sizes),), sizes + (1,)), tallies)
+            for index, closing in enumerate(labels):
+                crossed = labels[index + 1 :]
+                joined = {closing, *crossed}
+                if len(joined) <= len(crossed):  # a label met twice: a cycle
+                    following_cyclic[len(labels) - 1] += sum(
+                        scans for scans, _ in tallies.values()
+                    )
+                    continue
+                merged = sum(sizes[c] for c in joined)
+                renumber: dict[int, int] = {}
+                next_labels = []
+                next_sizes = []
+                for c in labels[:index] + crossed:
+                    if c in joined:
+                        c = closing
+                    if c not in renumber:
+                        renumber[c] = len(next_sizes)
+                        next_sizes.append(merged if c == closing else sizes[c])
+                    next_labels.append(renumber[c])
+                carried = tallies
+                if closing not in renumber:  # no open chord left: a finished tree
+                    carried = {
+                        m + 1: [scans, weight * merged]
+                        for m, (scans, weight) in tallies.items()
+                    }
+                _carry(following, (tuple(next_labels), tuple(next_sizes)), carried)
+        layer, cyclic = following, following_cyclic
+    tallies = sorted(layer[(), ()].items())
+    forests = {m: scans for m, (scans, _) in tallies}
+    rooted = {m: weight for m, (_, weight) in tallies}
+    return CountTable(n, forests, rooted, sum(forests.values()) + cyclic[0])
 
 
 def enumerate_noncrossing_partitions(

@@ -26,7 +26,7 @@ from chordforest.series import TruncatedSeries, rooted_gf, solve_ternary_gf, tre
 
 DATA_DIR = Path(__file__).parent / "data"
 
-BRUTE_MAX = 8
+BRUTE_MAX = 10
 SERIES_MAX = 60
 KREWERAS_MAX = 9
 TYPE_SUM_MAX = 12
@@ -43,7 +43,9 @@ def _report(criterion, label, failures):
 @pytest.fixture(scope="module")
 def sweep_tables():
     """One shared exhaustive sweep for criteria 1-3."""
-    return {n: brute_force_counts(n) for n in range(1, BRUTE_MAX + 1)}
+    return {
+        n: brute_force_counts(n, cap=BRUTE_MAX) for n in range(1, BRUTE_MAX + 1)
+    }
 
 
 def test_criterion_1_forest_counts_match_bruteforce(sweep_tables):

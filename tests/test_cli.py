@@ -336,6 +336,16 @@ class TestEnumerate:
             "error: --n 9 exceeds the enumeration cap of 8; pass --force to override\n"
         )
 
+    def test_zero_threads_is_usage_error_before_any_sweep(self, capsys, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(chordforest.oracle, "brute_force_counts", sweep)
+        code, out, err = _run(capsys, "enumerate", "--n", "3", "--threads", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --threads must be >= 1, got 0\n"
+
     def test_force_allows_small_n_anyway(self, capsys):
         code, _, _ = _run(capsys, "enumerate", "--n", "3", "--force")
         assert code == EXIT_OK

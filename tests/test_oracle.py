@@ -6,8 +6,8 @@ distinctness and validity of everything visited, partition counts against
 the p(n, m) recurrence, and non-crossing totals against Catalan numbers.
 """
 
-import concurrent.futures
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -28,13 +28,29 @@ from chordforest.formulas import (
 from chordforest.oracle import (
     _iter_pairings,
     _tally,
-    _tally_forests,
     brute_force_counts,
     enumerate_diagrams,
     enumerate_noncrossing_partitions,
     enumerate_types,
     iter_forests,
 )
+
+
+@functools.cache
+def _dumb_tally(n):
+    """(forests, rooted, total) of the dumb sweep that classifies every pairing."""
+    return _tally(_iter_pairings(tuple(range(1, 2 * n + 1))))
+
+
+@functools.cache
+def _forest_tally(n):
+    """(forests, rooted) tallied by m and tree-size product from iter_forests."""
+    forests, rooted = {}, {}
+    for _, sizes in iter_forests(n):
+        m = len(sizes)
+        forests[m] = forests.get(m, 0) + 1
+        rooted[m] = rooted.get(m, 0) + math.prod(sizes)
+    return forests, rooted
 
 
 class TestEnumerateDiagrams:
@@ -122,75 +138,48 @@ class TestBruteForceCounts:
         enumerate_diagrams(4, accumulate)
         assert rooted == brute_force_counts(4).rooted_by_trees
 
-    def test_threads_produce_identical_tables(self):
-        for threads in (2, 3, 8):
-            assert brute_force_counts(5, threads=threads) == brute_force_counts(5)
+    def test_matches_dumb_sweep_up_to_seven(self):
+        for n in range(1, 8):
+            table = brute_force_counts(n)
+            assert (
+                table.forests_by_trees,
+                table.rooted_by_trees,
+                table.total_diagrams,
+            ) == _dumb_tally(n)
 
-    def test_workers_capped_by_cores_and_branches(self, monkeypatch):
-        requested = []
+    def test_matches_forest_sweep_up_to_eight(self):
+        for n in range(1, 9):
+            table = brute_force_counts(n)
+            tallies = (table.forests_by_trees, table.rooted_by_trees)
+            assert tallies == _forest_tally(n)
 
-        class InlineExecutor:
-            """Records the pool size and runs the branches here, one by one."""
-
-            def __init__(self, max_workers, mp_context=None):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, function, *iterables):
-                return map(function, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-        expected = brute_force_counts(5)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert brute_force_counts(5, threads=10**6) == expected
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert brute_force_counts(5, threads=10**6) == expected
-        assert requested == [3, 9]  # cores, then the 2n-1 first-chord branches
+    def test_total_is_double_factorial_up_to_ten(self):
+        pairings = 1
+        for k in range(1, 11):
+            pairings *= 2 * k - 1
+            assert brute_force_counts(k, cap=10).total_diagrams == pairings
 
     def test_cli_import_loads_no_pool_modules(self):
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, chordforest.cli; "
-                "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-            timeout=60,
+        loaded = (
+            "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n"
         )
-        assert result.stdout == "False False\n", result.stderr
-
-    def test_workers_refused_for_a_program_read_from_stdin(self):
-        # Spawned workers would re-run "<stdin>" and break the pool; the
-        # cpu_count stand-in makes a pool due on a one-core machine too.
         script = (
-            "import os\n"
-            "os.cpu_count = lambda: 2\n"
-            "from chordforest.oracle import brute_force_counts\n"
-            "try:\n"
-            "    brute_force_counts(4, threads=2)\n"
-            "except ValueError as exc:\n"
-            "    print(exc)\n"
-            "print(brute_force_counts(4, threads=1).total_forests)\n"
+            "import contextlib, io, sys\n"
+            "import chordforest.cli\n"
+            + loaded
+            + "chordforest.cli.oracle.brute_force_counts(6)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    chordforest.cli.main(['enumerate', '--n', '6'])\n"
+            + loaded
         )
         result = subprocess.run(
-            [sys.executable, "-"],
-            input=script,
+            [sys.executable, "-c", script],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
             timeout=60,
         )
-        message, total = result.stdout.splitlines()
-        assert "<stdin>" in message and "threads=1" in message, result.stderr
-        assert total == "82"
+        assert result.stdout == "False False\nFalse False\n", result.stderr
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
@@ -202,8 +191,8 @@ class TestIterForests:
 
     def test_tallies_match_dumb_sweep(self):
         for n in range(1, 8):
-            dumb = _tally(_iter_pairings(tuple(range(1, 2 * n + 1))))
-            assert _tally_forests(iter_forests(n)) == dumb
+            forests, rooted, _ = _dumb_tally(n)
+            assert _forest_tally(n) == (forests, rooted)
 
     def test_forests_arrive_in_enumeration_order(self):
         for n in range(1, 7):
@@ -216,16 +205,6 @@ class TestIterForests:
 
             enumerate_diagrams(n, keep_forest)
             assert list(iter_forests(n)) == expected
-
-    def test_returns_the_number_of_diagrams_cut(self):
-        # n = 3: the pairwise-crossing triple 1-4,2-5,3-6 is the one cut
-        sweep = iter_forests(3)
-        forests = []
-        with pytest.raises(StopIteration) as done:
-            while True:
-                forests.append(next(sweep))
-        assert len(forests) == 14
-        assert done.value.value == 1
 
     def test_cap_and_domain(self):
         with pytest.raises(EnumerationCapError):
