@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
@@ -241,26 +241,26 @@ def rooted_forest_paper_sum(n: int, m: int) -> int:
                  (-1)^k C(m,k) C(m+j-1,j) 2^(m-k) 3^j [x^(n-m+j+k)] T^(2j+k),
         S2 = sum_{k=0..m} (-1)^k C(m,k) C(n-1,n-m) 2^(m-k) 3^(n-m),
 
-    where S1 is empty for m = n.  It makes O(m (n-m)) :func:`lagrange_coeff`
-    calls per cell, so a table of it grows as N^4.
+    where S1 is empty for m = n.  S1 runs j on the outside, so its k-free
+    factor C(m+j-1,j) 3^j is computed once per j.  S2 is summed by the
+    binomial theorem: its k-sum is (2-1)^m = 1, so S2 = C(n-1,n-m) 3^(n-m).
+    It makes O(m (n-m)) :func:`lagrange_coeff` calls per cell, so a table of
+    it grows as N^4.
     """
     if m < 1 or m > n:
         raise ValueError(
             f"rooted_forest_paper_sum requires 1 <= m <= n, got n={n}, m={m}"
         )
+    signed = [(-1) ** k * binomial(m, k) * 2 ** (m - k) for k in range(m + 1)]
     sum1 = 0
-    sum2 = 0
-    for k in range(m + 1):
-        sign = -1 if k % 2 else 1
-        common = sign * binomial(m, k) * 2 ** (m - k)
-        for j in range(n - m):
-            sum1 += (
-                common
-                * binomial(m + j - 1, j)
-                * 3**j
-                * lagrange_coeff(2 * j + k, n - m + j + k)
-            )
-        sum2 += common * binomial(n - 1, n - m) * 3 ** (n - m)
+    for j in range(n - m):
+        inner = sum(
+            common * lagrange_coeff(2 * j + k, n - m + j + k)
+            for k, common in enumerate(signed)
+        )
+        sum1 += binomial(m + j - 1, j) * 3**j * inner
+    # sum_k (-1)^k C(m,k) 2^(m-k) = (2-1)^m = 1 by the binomial theorem
+    sum2 = binomial(n - 1, n - m) * 3 ** (n - m)
     value = _exact_div(binomial(2 * n, m - 1) * (sum1 + sum2), m)
     if value < 0:
         raise ConsistencyError(f"rooted_forest_paper_sum({n}, {m}) evaluated to {value} < 0")
@@ -297,23 +297,6 @@ class PartitionType:
             counts[size] += 1
         return cls(tuple(sorted(counts.items())))
 
-    @classmethod
-    def from_multiplicities(
-        cls, multiplicities: Mapping[int, int] | Iterable[int]
-    ) -> "PartitionType":
-        """Build from a {size: multiplicity} mapping or a dense [s1, s2, ...] vector."""
-        if isinstance(multiplicities, Mapping):
-            items = multiplicities.items()
-        else:
-            items = enumerate(multiplicities, start=1)
-        parts = []
-        for size, multiplicity in items:
-            if multiplicity < 0:
-                raise ValueError(f"multiplicity of size {size} is negative")
-            if multiplicity:
-                parts.append((size, multiplicity))
-        return cls(tuple(sorted(parts)))
-
     @property
     def ground_set_size(self) -> int:
         return sum(size * mult for size, mult in self.parts)
@@ -322,23 +305,13 @@ class PartitionType:
     def block_count(self) -> int:
         return sum(mult for _, mult in self.parts)
 
-    def multiplicity(self, size: int) -> int:
-        for s, mult in self.parts:
-            if s == size:
-                return mult
-        return 0
 
-
-def kreweras_count(block_type: PartitionType, ground_size: int | None = None) -> int:
+def kreweras_count(block_type: PartitionType) -> int:
     """Number of non-crossing partitions of [N] with the given block-size type.
 
     With k blocks in total the count is N (N-1) ... (N-k+2) / prod_j s_j!.
     """
     size = block_type.ground_set_size
-    if ground_size is not None and ground_size != size:
-        raise ValueError(
-            f"type covers {size} elements, not the stated ground set of {ground_size}"
-        )
     if size < 1:
         raise ValueError("the ground set must be non-empty")
     denominator = 1
@@ -355,6 +328,8 @@ def type_sum_forest_count(n: int, m: int) -> int:
     hold any of the tree_count(i) tree diagrams.  Summing the partition count
     times the tree choices over all types with sum s_i = m and sum i s_i = n
     recounts f(n, m); the closed form in :func:`forest_count` must agree.
+    The partition count is :func:`kreweras_count` of the doubled type, the
+    function that the kreweras-vs-enumeration check compares with the oracle.
     """
     if m < 1 or m > n:
         raise ValueError(
@@ -362,17 +337,10 @@ def type_sum_forest_count(n: int, m: int) -> int:
         )
     from .oracle import enumerate_types  # imported here: oracle depends on this module
 
-    prefactor = falling_factorial(2 * n, m - 1)
+    trees = tree_counts(n - m + 1)  # no tree of a type has more chords
     total = 0
-
-    def add_type(forest_type: PartitionType) -> None:
-        nonlocal total
-        numerator = prefactor
-        denominator = 1
-        for size, mult in forest_type.parts:
-            numerator *= tree_count(size) ** mult
-            denominator *= math.factorial(mult)
-        total += _exact_div(numerator, denominator)
-
-    enumerate_types(n, m, add_type)
+    for forest_type in enumerate_types(n, m):
+        blocks = PartitionType(tuple((2 * size, mult) for size, mult in forest_type.parts))
+        choices = math.prod(trees[size - 1] ** mult for size, mult in forest_type.parts)
+        total += kreweras_count(blocks) * choices
     return total

@@ -317,19 +317,16 @@ def _iter_partitions_into_parts(
             yield (largest,) + rest
 
 
-def enumerate_types(
-    n: int, m: int, visit: Callable[[PartitionType], None] | None = None
-) -> int:
-    """Visit every forest type with m trees and n chords total; return the count.
+def enumerate_types(n: int, m: int) -> Iterator[PartitionType]:
+    """Every forest type with m trees and n chords total, in a fixed order.
 
     Types are the vectors (s_1..s_n) of trees per size with sum s_i = m and
     sum i s_i = n, equivalently the partitions of n into exactly m parts.
+    The domain is checked when called, not when first iterated.
     """
     if m < 1 or m > n:
         raise ValueError(f"enumerate_types requires 1 <= m <= n, got n={n}, m={m}")
-    count = 0
-    for parts in _iter_partitions_into_parts(n, m, n - m + 1):
-        count += 1
-        if visit is not None:
-            visit(PartitionType.from_block_sizes(parts))
-    return count
+    return (
+        PartitionType.from_block_sizes(parts)
+        for parts in _iter_partitions_into_parts(n, m, n - m + 1)
+    )

@@ -236,6 +236,37 @@ class TestTable:
         assert out == "kind,n,m,value\nf,1,1,1\nf,2,1,1\nf,2,2,2\n"
         assert err == "error: forest_row(3): a binomial chain missed its end value\n"
 
+    @pytest.mark.parametrize(
+        "argv, sha256, size",
+        [
+            (
+                "--kind r --max-n 60",
+                "a8be65a4394565f4e7139b51265b9c2cfefa9ea402d411679319f3c98cc8ed3d",
+                80444,
+            ),
+            (
+                "--kind f --max-n 300",
+                "513268f67585bce7dcf68386bac8a3123621d9bbcf6ae458f841fcecbe04724c",
+                8419543,
+            ),
+            (
+                "--kind f --max-n 200 --format json",
+                "205459550b1c81c86656b4702cc1b18c71286913e0ebcb82bc01c378b8d11a51",
+                4222726,
+            ),
+            (
+                "--kind t --max-n 3000",
+                "6bf8331c4518abaa4f51b82f254e9aac89c9eba20d0e57876de9d48931973c7c",
+                3742504,
+            ),
+        ],
+    )
+    def test_large_table_stdout_is_pinned(self, capsys, argv, sha256, size):
+        code, out, _ = _run(capsys, "table", *argv.split())
+        assert code == EXIT_OK
+        data = out.encode()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
+
 
 class TestSeries:
     def test_g_coefficients(self, capsys):
@@ -313,6 +344,15 @@ class TestEnumerate:
         assert "1-2,3-4,5-6 m=3 sizes=1,1,1" in forest_lines
         # the pairwise-crossing triple is the one non-forest
         assert not any(line.startswith("1-4,2-5,3-6 ") for line in forest_lines)
+
+    def test_seven_chord_list_stdout_is_pinned(self, capsys):
+        code, out, _ = _run(capsys, "enumerate", "--n", "7", "--list")
+        assert code == EXIT_OK
+        data = out.encode()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+            "98f36336a463ad5cddc6f9d5cb1754a1e8af894e66312bca27e26429b3756253",
+            1518028,
+        )
 
     def test_threads_do_not_change_output(self, capsys):
         _, single, _ = _run(capsys, "enumerate", "--n", "4")
@@ -473,8 +513,8 @@ class TestVerify:
         genuine = chordforest.formulas.kreweras_count
         target = PartitionType.from_block_sizes([2, 1])
 
-        def corrupted(block_type, ground_size=None):
-            return genuine(block_type, ground_size) + (block_type == target)
+        def corrupted(block_type):
+            return genuine(block_type) + (block_type == target)
 
         monkeypatch.setattr(chordforest.formulas, "kreweras_count", corrupted)
         self._failure(

@@ -31,6 +31,7 @@ from chordforest.formulas import (
     tree_counts,
     type_sum_forest_count,
 )
+from chordforest.oracle import enumerate_types
 
 
 def test_exact_division_guard():
@@ -234,6 +235,25 @@ class TestRowKernelSteps:
             assert spoiled_cells == n - 1
 
 
+def _literal_paper_sum(n, m):
+    """The paper's double sum term by term, S2's k-sum included: the oracle
+    for the factored evaluation in rooted_forest_paper_sum."""
+    sum1 = 0
+    sum2 = 0
+    for k in range(m + 1):
+        sign = -1 if k % 2 else 1
+        common = sign * binomial(m, k) * 2 ** (m - k)
+        for j in range(n - m):
+            sum1 += (
+                common
+                * binomial(m + j - 1, j)
+                * 3**j
+                * lagrange_coeff(2 * j + k, n - m + j + k)
+            )
+        sum2 += common * binomial(n - 1, n - m) * 3 ** (n - m)
+    return _exact_div(binomial(2 * n, m - 1) * (sum1 + sum2), m)
+
+
 class TestRootedForestCount:
     def test_small_table(self):
         # confirmed by the exhaustive sweeps (test_oracle.py, n <= 7)
@@ -270,6 +290,11 @@ class TestRootedForestCount:
             for m in range(1, n + 1):
                 assert rooted_forest_count(n, m) == rooted_forest_paper_sum(n, m)
 
+    def test_paper_sum_equals_literal_double_sum(self):
+        for n in range(1, 21):
+            for m in range(1, n + 1):
+                assert rooted_forest_paper_sum(n, m) == _literal_paper_sum(n, m)
+
     def test_paper_sum_domain_errors(self):
         for n, m in ((3, 0), (3, 4), (0, 1)):
             with pytest.raises(ValueError):
@@ -305,16 +330,10 @@ class TestPartitionType:
         assert t.parts == ((1, 3), (2, 2))
         assert t.ground_set_size == 7
         assert t.block_count == 5
-        assert t.multiplicity(2) == 2
-        assert t.multiplicity(9) == 0
-
-    def test_from_multiplicities_dense_and_mapping(self):
-        assert PartitionType.from_multiplicities([0, 2, 1]).parts == ((2, 2), (3, 1))
-        assert PartitionType.from_multiplicities({4: 1, 2: 3}).parts == ((2, 3), (4, 1))
 
     def test_equal_types_hash_equal(self):
         a = PartitionType.from_block_sizes([3, 1, 1])
-        b = PartitionType.from_multiplicities({1: 2, 3: 1})
+        b = PartitionType(((1, 2), (3, 1)))
         assert a == b and hash(a) == hash(b)
 
     def test_rejects_bad_parts(self):
@@ -344,9 +363,20 @@ class TestKrewerasCount:
             assert kreweras_count(PartitionType.from_block_sizes([n])) == 1
             assert kreweras_count(PartitionType.from_block_sizes([1] * n)) == 1
 
-    def test_ground_size_mismatch(self):
-        with pytest.raises(ValueError):
-            kreweras_count(PartitionType.from_block_sizes([2, 2]), ground_size=5)
+
+def _inline_type_sum(n, m):
+    """f(n, m) over forest types with the Kreweras count written out inline:
+    the oracle for type_sum_forest_count, which calls kreweras_count."""
+    prefactor = falling_factorial(2 * n, m - 1)
+    total = 0
+    for forest_type in enumerate_types(n, m):
+        numerator = prefactor
+        denominator = 1
+        for size, mult in forest_type.parts:
+            numerator *= tree_count(size) ** mult
+            denominator *= math.factorial(mult)
+        total += _exact_div(numerator, denominator)
+    return total
 
 
 class TestTypeSumForestCount:
@@ -359,6 +389,11 @@ class TestTypeSumForestCount:
         for n in range(1, 11):
             for m in range(1, n + 1):
                 assert type_sum_forest_count(n, m) == forest_count(n, m)
+
+    def test_equals_inline_kreweras_sum(self):
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                assert type_sum_forest_count(n, m) == _inline_type_sum(n, m)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

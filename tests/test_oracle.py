@@ -271,16 +271,10 @@ def _partitions_into(n, m):
 
 class TestEnumerateTypes:
     def test_spot_cases(self):
-        seen = []
-        assert enumerate_types(3, 2, seen.append) == 1
-        assert seen == [PartitionType.from_block_sizes([2, 1])]
+        assert list(enumerate_types(3, 2)) == [PartitionType.from_block_sizes([2, 1])]
         for n in range(1, 9):
-            only = []
-            assert enumerate_types(n, n, only.append) == 1
-            assert only == [PartitionType.from_block_sizes([1] * n)]
-        types = []
-        assert enumerate_types(6, 3, types.append) == 3
-        assert types == [
+            assert list(enumerate_types(n, n)) == [PartitionType.from_block_sizes([1] * n)]
+        assert list(enumerate_types(6, 3)) == [
             PartitionType.from_block_sizes(sizes)
             for sizes in ([4, 1, 1], [3, 2, 1], [2, 2, 2])
         ]
@@ -288,19 +282,19 @@ class TestEnumerateTypes:
     def test_counts_match_recurrence(self):
         for n in range(1, 13):
             for m in range(1, n + 1):
-                assert enumerate_types(n, m) == _partitions_into(n, m)
+                assert len(list(enumerate_types(n, m))) == _partitions_into(n, m)
 
     def test_visited_types_satisfy_constraints_and_are_distinct(self):
         for n in range(1, 10):
             for m in range(1, n + 1):
-                seen = []
-                enumerate_types(n, m, seen.append)
+                seen = list(enumerate_types(n, m))
                 assert len(set(seen)) == len(seen)
                 for forest_type in seen:
                     assert forest_type.block_count == m
                     assert forest_type.ground_set_size == n
 
     def test_domain_errors(self):
+        # raised by the call itself, before any type is drawn
         with pytest.raises(ValueError):
             enumerate_types(3, 0)
         with pytest.raises(ValueError):
