@@ -20,7 +20,6 @@ from .diagrams import (
 )
 from .errors import ConsistencyError, EnumerationCapError
 from .formulas import (
-    PartitionType,
     binomial,
     catalan,
     double_factorial_pairings,

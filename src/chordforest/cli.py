@@ -8,7 +8,9 @@ Subcommands: ``count`` (one exact value), ``table`` (CSV/JSON tables),
 Exit codes: 0 success, 1 verification mismatch (a failed ``verify`` check,
 or a ``ConsistencyError`` from an internal self-check in any command, printed
 as ``error: <message>`` on stderr), 2 usage or domain error, 3 output I/O
-error.  All values are printed as exact decimals, at any number of digits.
+error (an unwritable ``render --out`` file, or a stdout closed by its reader,
+as by ``| head``).  All values are printed as exact decimals, at any number
+of digits.
 """
 
 from __future__ import annotations
@@ -191,9 +193,8 @@ def _kreweras(max_n: int) -> Iterator[tuple]:
         tallies = oracle.enumerate_noncrossing_partitions(n)
         total = sum(tallies.values())
         yield f"non-crossing partitions of [{n}]", formulas.catalan(n), total
-        for block_type, seen in tallies.items():
-            expected = formulas.kreweras_count(block_type)
-            yield f"type {block_type.parts} of [{n}]", expected, seen
+        for sizes, seen in tallies.items():
+            yield f"type {sizes} of [{n}]", formulas.kreweras_count(sizes), seen
 
 
 def _rooted_forms(max_n: int) -> Iterator[tuple]:
@@ -433,7 +434,15 @@ def main(argv: list[str] | None = None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout is met here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # stdout's reader has gone; as in the Python docs' SIGPIPE note, point
+        # stdout at devnull so that the interpreter's last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from .errors import ConsistencyError
 
 __all__ = [
-    "PartitionType",
     "binomial",
     "catalan",
     "double_factorial_pairings",
@@ -267,57 +265,19 @@ def rooted_forest_paper_sum(n: int, m: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class PartitionType:
-    """Multiset of block sizes, stored sparsely as (size, multiplicity) pairs.
+def kreweras_count(sizes: Sequence[int]) -> int:
+    """Number of non-crossing partitions of [N] whose block sizes are ``sizes``.
 
-    ``parts`` is strictly increasing in size and holds only positive
-    multiplicities, so equal multisets compare and hash equal.
+    ``sizes`` is the multiset of block sizes, in any order; N is their sum.
+    With k blocks, of which s_j have size j, the count is
+    N (N-1) ... (N-k+2) / prod_j s_j!.
     """
-
-    parts: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        previous = 0
-        for size, multiplicity in self.parts:
-            if size <= previous:
-                raise ValueError(
-                    f"part sizes must be positive and strictly increasing: {self.parts!r}"
-                )
-            if multiplicity < 1:
-                raise ValueError(f"multiplicities must be positive: {self.parts!r}")
-            previous = size
-
-    @classmethod
-    def from_block_sizes(cls, sizes: Iterable[int]) -> "PartitionType":
-        counts: Counter[int] = Counter()
-        for size in sizes:
-            if size < 1:
-                raise ValueError(f"block sizes must be positive, got {size}")
-            counts[size] += 1
-        return cls(tuple(sorted(counts.items())))
-
-    @property
-    def ground_set_size(self) -> int:
-        return sum(size * mult for size, mult in self.parts)
-
-    @property
-    def block_count(self) -> int:
-        return sum(mult for _, mult in self.parts)
-
-
-def kreweras_count(block_type: PartitionType) -> int:
-    """Number of non-crossing partitions of [N] with the given block-size type.
-
-    With k blocks in total the count is N (N-1) ... (N-k+2) / prod_j s_j!.
-    """
-    size = block_type.ground_set_size
-    if size < 1:
-        raise ValueError("the ground set must be non-empty")
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"kreweras_count needs block sizes >= 1, got {sizes!r}")
     denominator = 1
-    for _, mult in block_type.parts:
+    for mult in Counter(sizes).values():
         denominator *= math.factorial(mult)
-    return _exact_div(falling_factorial(size, block_type.block_count - 1), denominator)
+    return _exact_div(falling_factorial(sum(sizes), len(sizes) - 1), denominator)
 
 
 def type_sum_forest_count(n: int, m: int) -> int:
@@ -335,12 +295,11 @@ def type_sum_forest_count(n: int, m: int) -> int:
         raise ValueError(
             f"type_sum_forest_count requires 1 <= m <= n, got n={n}, m={m}"
         )
-    from .oracle import enumerate_types  # imported here: oracle depends on this module
+    from .oracle import enumerate_types  # per call, so a rebinding (a tracer's) holds
 
     trees = tree_counts(n - m + 1)  # no tree of a type has more chords
     total = 0
-    for forest_type in enumerate_types(n, m):
-        blocks = PartitionType(tuple((2 * size, mult) for size, mult in forest_type.parts))
-        choices = math.prod(trees[size - 1] ** mult for size, mult in forest_type.parts)
-        total += kreweras_count(blocks) * choices
+    for sizes in enumerate_types(n, m):
+        choices = math.prod(trees[size - 1] for size in sizes)
+        total += kreweras_count(tuple(2 * size for size in sizes)) * choices
     return total

@@ -8,8 +8,9 @@ canonical order and cuts a branch at its first cycle (:func:`iter_forests`)
 lists the forest diagrams themselves.  The deliberately dumb sweep over all
 (2n-1)!! pairings (:func:`enumerate_diagrams`, with
 :func:`~.diagrams.classify_chords` on each one) is kept as the test oracle
-of both.  Set partitions of [N] and forest type vectors are enumerated in
-full.  Enumeration order is deterministic, and sizes are guarded by caps so
+of both.  Set partitions of [N] are generated with each branch cut at its
+first block crossing, and forest types are the partitions of n into m
+parts.  Enumeration order is deterministic, and sizes are guarded by caps so
 a typo'd n fails fast instead of running for hours; pass a larger ``cap``
 explicitly to go above a default.
 """
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 from .diagrams import Chord, ChordDiagram, blocks_cross, classify_chords
 from .errors import EnumerationCapError
-from .formulas import PartitionType
 
 DIAGRAM_CAP = 8
 PARTITION_CAP = 10
@@ -269,30 +269,30 @@ def brute_force_counts(n: int, cap: int = DIAGRAM_CAP) -> CountTable:
 
 def enumerate_noncrossing_partitions(
     ground_size: int, cap: int = PARTITION_CAP
-) -> dict[PartitionType, int]:
+) -> dict[tuple[int, ...], int]:
     """Tally the non-crossing partitions of [ground_size] by block-size type.
 
-    All set partitions are generated (restricted-growth order) and filtered
-    with the literal block-crossing test; no shortcuts, this is the oracle.
+    A type is the tuple of block sizes in descending order.  Set partitions
+    are generated in restricted-growth order and tested with the literal
+    block-crossing test, a branch cut as soon as it has a crossing: a new
+    singleton crosses nothing, and a block that grows never loses a
+    crossing, so only the block just grown needs the test.
     """
     if ground_size < 1:
         raise ValueError(f"ground_size must be >= 1, got {ground_size}")
     _check_cap(ground_size, cap, "set-partition sweep")
-    tallies: dict[PartitionType, int] = {}
+    tallies: dict[tuple[int, ...], int] = {}
     blocks: list[list[int]] = []
 
     def place(element: int) -> None:
         if element > ground_size:
-            for i in range(len(blocks)):
-                for j in range(i + 1, len(blocks)):
-                    if blocks_cross(blocks[i], blocks[j]):
-                        return
-            key = PartitionType.from_block_sizes(len(block) for block in blocks)
+            key = tuple(sorted(map(len, blocks), reverse=True))
             tallies[key] = tallies.get(key, 0) + 1
             return
         for block in blocks:
             block.append(element)
-            place(element + 1)
+            if not any(blocks_cross(block, b) for b in blocks if b is not block):
+                place(element + 1)
             block.pop()
         blocks.append([element])
         place(element + 1)
@@ -317,16 +317,13 @@ def _iter_partitions_into_parts(
             yield (largest,) + rest
 
 
-def enumerate_types(n: int, m: int) -> Iterator[PartitionType]:
+def enumerate_types(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """Every forest type with m trees and n chords total, in a fixed order.
 
-    Types are the vectors (s_1..s_n) of trees per size with sum s_i = m and
-    sum i s_i = n, equivalently the partitions of n into exactly m parts.
-    The domain is checked when called, not when first iterated.
+    A type is the tuple of tree sizes in descending order: a partition of n
+    into exactly m parts.  The domain is checked when called, not when
+    first iterated.
     """
     if m < 1 or m > n:
         raise ValueError(f"enumerate_types requires 1 <= m <= n, got n={n}, m={m}")
-    return (
-        PartitionType.from_block_sizes(parts)
-        for parts in _iter_partitions_into_parts(n, m, n - m + 1)
-    )
+    return _iter_partitions_into_parts(n, m, n - m + 1)

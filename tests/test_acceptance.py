@@ -154,7 +154,7 @@ def test_criterion_6_kreweras_matches_enumeration():
             expected = kreweras_count(block_type)
             if seen != expected:
                 failures.append(
-                    f"[{n}] type {block_type.parts}: formula={expected} seen={seen}"
+                    f"[{n}] type {block_type}: formula={expected} seen={seen}"
                 )
     _report(6, "block-type formula vs enumeration, N<=9", failures)
 

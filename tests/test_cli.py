@@ -1,13 +1,15 @@
 """CLI surface: output formats, exit codes, and determinism.
 
-Most tests drive main() in-process and inspect captured stdout; one
-subprocess test covers the ``python -m chordforest`` entry point.
+Most tests drive main() in-process and inspect captured stdout; subprocess
+tests cover the ``python -m chordforest`` entry point and a stdout closed by
+its reader.
 """
 
 import errno
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ElementTree
@@ -30,7 +32,6 @@ from chordforest.cli import (
 from chordforest.diagrams import parse_diagram
 from chordforest.errors import ConsistencyError
 from chordforest.formulas import (
-    PartitionType,
     catalan,
     forest_count,
     rooted_forest_count,
@@ -211,8 +212,9 @@ class TestTable:
                 }
                 for fmt, text in expected.items():
                     writes = []
+                    stand_in = SimpleNamespace(write=writes.append, flush=lambda: None)
                     with monkeypatch.context() as patch:
-                        patch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+                        patch.setattr(sys, "stdout", stand_in)
                         code = main(
                             ["table", "--kind", kind, "--max-n", str(max_n), "--format", fmt]
                         )
@@ -494,7 +496,7 @@ class TestVerify:
 
     def test_kreweras_total_counterexample(self, capsys, monkeypatch):
         genuine = chordforest.oracle.enumerate_noncrossing_partitions
-        one_block = PartitionType.from_block_sizes([5])
+        one_block = (5,)
 
         def patched(ground_size, **kwargs):
             tallies = genuine(ground_size, **kwargs)
@@ -511,16 +513,14 @@ class TestVerify:
 
     def test_kreweras_type_counterexample(self, capsys, monkeypatch):
         genuine = chordforest.formulas.kreweras_count
-        target = PartitionType.from_block_sizes([2, 1])
-
-        def corrupted(block_type):
-            return genuine(block_type) + (block_type == target)
+        def corrupted(sizes):
+            return genuine(sizes) + (sizes == (2, 1))
 
         monkeypatch.setattr(chordforest.formulas, "kreweras_count", corrupted)
         self._failure(
             capsys,
             "kreweras-vs-enumeration (N<=9)",
-            "type ((1, 1), (2, 1)) of [3] formula=4 bruteforce=3",
+            "type (2, 1) of [3] formula=4 bruteforce=3",
         )
 
     def test_type_sum_counterexample(self, capsys, monkeypatch):
@@ -680,3 +680,22 @@ def test_module_entry_point_runs_in_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout == "6\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--kind", "t", "--max-n", "3000"], ["enumerate", "--n", "7", "--list"]],
+)
+def test_closed_stdout_exits_io_error_without_traceback(argv):
+    with subprocess.Popen(
+        [sys.executable, "-m", "chordforest", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as process:
+        assert process.stdout.read(20)
+        process.stdout.close()  # as `| head -c 20` does
+        err = process.stderr.read().decode()
+        code = process.wait()
+    assert code == EXIT_IO
+    assert err == f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n"
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -7,6 +7,7 @@ produced by the functions under test.
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from chordforest import formulas
 from chordforest.errors import ConsistencyError
 from chordforest.formulas import (
-    PartitionType,
     _exact_div,
     binomial,
     catalan,
@@ -324,27 +324,6 @@ class TestLagrangeCoeff:
             lagrange_coeff(-1, 3)
 
 
-class TestPartitionType:
-    def test_from_block_sizes_collects_multiplicities(self):
-        t = PartitionType.from_block_sizes([2, 1, 2, 1, 1])
-        assert t.parts == ((1, 3), (2, 2))
-        assert t.ground_set_size == 7
-        assert t.block_count == 5
-
-    def test_equal_types_hash_equal(self):
-        a = PartitionType.from_block_sizes([3, 1, 1])
-        b = PartitionType(((1, 2), (3, 1)))
-        assert a == b and hash(a) == hash(b)
-
-    def test_rejects_bad_parts(self):
-        with pytest.raises(ValueError):
-            PartitionType(((2, 1), (1, 1)))
-        with pytest.raises(ValueError):
-            PartitionType(((1, 0),))
-        with pytest.raises(ValueError):
-            PartitionType.from_block_sizes([0])
-
-
 class TestKrewerasCount:
     def test_ground_set_four_by_hand(self):
         # all five types of [4]: counts enumerated by hand
@@ -356,12 +335,19 @@ class TestKrewerasCount:
             (1, 1, 1, 1): 1,
         }
         for sizes, expected in cases.items():
-            assert kreweras_count(PartitionType.from_block_sizes(sizes)) == expected
+            assert kreweras_count(sizes) == expected
 
     def test_single_block_and_all_singletons(self):
         for n in range(1, 10):
-            assert kreweras_count(PartitionType.from_block_sizes([n])) == 1
-            assert kreweras_count(PartitionType.from_block_sizes([1] * n)) == 1
+            assert kreweras_count((n,)) == 1
+            assert kreweras_count((1,) * n) == 1
+
+    def test_rejects_bad_parts(self):
+        for sizes in ((), (0,), (2, -1)):
+            with pytest.raises(ValueError):
+                kreweras_count(sizes)
+        # a type is a multiset: the order of the sizes does not matter
+        assert kreweras_count((1, 3, 1)) == kreweras_count((3, 1, 1))
 
 
 def _inline_type_sum(n, m):
@@ -372,7 +358,7 @@ def _inline_type_sum(n, m):
     for forest_type in enumerate_types(n, m):
         numerator = prefactor
         denominator = 1
-        for size, mult in forest_type.parts:
+        for size, mult in Counter(forest_type).items():
             numerator *= tree_count(size) ** mult
             denominator *= math.factorial(mult)
         total += _exact_div(numerator, denominator)

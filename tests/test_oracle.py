@@ -14,10 +14,9 @@ import sys
 
 import pytest
 
-from chordforest.diagrams import classify
+from chordforest.diagrams import blocks_cross, classify
 from chordforest.errors import EnumerationCapError
 from chordforest.formulas import (
-    PartitionType,
     catalan,
     double_factorial_pairings,
     forest_count,
@@ -225,6 +224,34 @@ def _bell(n):
     return row[-1]
 
 
+def _literal_partition_tallies(ground_size):
+    """Every set partition of [ground_size] in restricted-growth order, filtered
+    at the leaf by testing each pair of blocks: the unpruned test oracle of
+    enumerate_noncrossing_partitions, with its tallies in the same order."""
+    tallies = {}
+    blocks = []
+
+    def place(element):
+        if element > ground_size:
+            for i in range(len(blocks)):
+                for j in range(i + 1, len(blocks)):
+                    if blocks_cross(blocks[i], blocks[j]):
+                        return
+            key = tuple(sorted(map(len, blocks), reverse=True))
+            tallies[key] = tallies.get(key, 0) + 1
+            return
+        for block in blocks:
+            block.append(element)
+            place(element + 1)
+            block.pop()
+        blocks.append([element])
+        place(element + 1)
+        blocks.pop()
+
+    place(1)
+    return tallies
+
+
 class TestEnumerateNoncrossingPartitions:
     def test_no_crossings_possible_below_four_points(self):
         # crossing needs 4 points, so every partition of [N <= 3] survives
@@ -236,7 +263,7 @@ class TestEnumerateNoncrossingPartitions:
         assert sum(tallies.values()) == 5
         # N = 4: {13|24} crosses, so type (2,2) has only 2 of 3 partitions
         tallies = enumerate_noncrossing_partitions(4)
-        assert tallies[PartitionType.from_block_sizes([2, 2])] == 2
+        assert tallies[(2, 2)] == 2
         assert sum(tallies.values()) == 14
 
     def test_totals_are_catalan(self):
@@ -250,7 +277,14 @@ class TestEnumerateNoncrossingPartitions:
 
     def test_types_cover_the_ground_set(self):
         for block_type in enumerate_noncrossing_partitions(6):
-            assert block_type.ground_set_size == 6
+            assert sum(block_type) == 6
+            # descending, so that equal multisets are equal keys
+            assert list(block_type) == sorted(block_type, reverse=True)
+
+    def test_pruned_sweep_matches_literal_sweep(self):
+        for n in range(1, 10):
+            pruned = enumerate_noncrossing_partitions(n)
+            assert list(pruned.items()) == list(_literal_partition_tallies(n).items())
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
@@ -271,13 +305,10 @@ def _partitions_into(n, m):
 
 class TestEnumerateTypes:
     def test_spot_cases(self):
-        assert list(enumerate_types(3, 2)) == [PartitionType.from_block_sizes([2, 1])]
+        assert list(enumerate_types(3, 2)) == [(2, 1)]
         for n in range(1, 9):
-            assert list(enumerate_types(n, n)) == [PartitionType.from_block_sizes([1] * n)]
-        assert list(enumerate_types(6, 3)) == [
-            PartitionType.from_block_sizes(sizes)
-            for sizes in ([4, 1, 1], [3, 2, 1], [2, 2, 2])
-        ]
+            assert list(enumerate_types(n, n)) == [(1,) * n]
+        assert list(enumerate_types(6, 3)) == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
 
     def test_counts_match_recurrence(self):
         for n in range(1, 13):
@@ -290,8 +321,10 @@ class TestEnumerateTypes:
                 seen = list(enumerate_types(n, m))
                 assert len(set(seen)) == len(seen)
                 for forest_type in seen:
-                    assert forest_type.block_count == m
-                    assert forest_type.ground_set_size == n
+                    assert len(forest_type) == m
+                    assert sum(forest_type) == n
+                    assert min(forest_type) >= 1
+                    assert list(forest_type) == sorted(forest_type, reverse=True)
 
     def test_domain_errors(self):
         # raised by the call itself, before any type is drawn
