@@ -7,13 +7,12 @@ verify`` command cross-checks them.
 """
 
 from .diagrams import (
-    ChordDiagram,
     Classification,
     IntersectionGraph,
     blocks_cross,
-    classify,
+    classify_chords,
     crosses,
-    format_diagram,
+    format_chords,
     from_pairs,
     intersection_graph,
     parse_diagram,
@@ -23,7 +22,6 @@ from .formulas import (
     binomial,
     catalan,
     double_factorial_pairings,
-    falling_factorial,
     forest_count,
     forest_row,
     kreweras_count,

@@ -292,9 +292,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- render ------------------------------------------------------------------
 
 
-def diagram_to_svg(diagram: diagrams.ChordDiagram) -> str:
+def diagram_to_svg(chords: tuple[diagrams.Chord, ...]) -> str:
     """Standalone SVG: unit circle, points 1..2n clockwise from the top, straight chords."""
-    total = 2 * diagram.n
+    total = 2 * len(chords)
 
     def position(label: int, radius: float) -> tuple[float, float]:
         angle = -math.pi / 2 + (label - 1) * 2 * math.pi / total
@@ -306,7 +306,7 @@ def diagram_to_svg(diagram: diagrams.ChordDiagram) -> str:
         'viewBox="-1.3 -1.3 2.6 2.6" width="390" height="390">',
         '  <circle cx="0" cy="0" r="1" fill="none" stroke="black" stroke-width="0.01"/>',
     ]
-    for a, b in diagram.chords:
+    for a, b in chords:
         xa, ya = position(a, 1.0)
         xb, yb = position(b, 1.0)
         parts.append(

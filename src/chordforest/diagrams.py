@@ -2,7 +2,9 @@
 
 Points are labeled 1..2n clockwise.  A chord joins the two points of a
 pair; two chords cross iff their endpoints interleave around the circle.
-The intersection graph has one vertex per chord and an edge per crossing
+A diagram is its canonical chord tuple: the pairs (a, b) with a < b,
+ascending in a, so the first chord always starts at point 1.  The
+intersection graph has one vertex per chord and an edge per crossing
 pair, and a diagram is called a tree or forest diagram according to that
 graph.
 """
@@ -16,50 +18,27 @@ Chord = tuple[int, int]
 
 __all__ = [
     "Chord",
-    "ChordDiagram",
     "Classification",
     "IntersectionGraph",
     "blocks_cross",
-    "classify",
     "classify_chords",
     "crosses",
     "format_chords",
-    "format_diagram",
     "from_pairs",
     "intersection_graph",
     "parse_diagram",
 ]
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
-    """A perfect matching of {1..2n} in canonical form.
+def from_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[Chord, ...]:
+    """Validate a list of point pairs and return the canonical chord tuple.
 
-    ``chords`` holds the pairs (a, b) with a < b, ascending in a, so the
-    first chord always starts at point 1.  Instances are normally built
-    through :func:`from_pairs` or :func:`parse_diagram`, which validate.
-    """
-
-    chords: tuple[Chord, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.chords)
-
-    def __str__(self) -> str:
-        return format_diagram(self)
-
-
-def from_pairs(pairs: Iterable[tuple[int, int]], n: int | None = None) -> ChordDiagram:
-    """Validate a list of point pairs and return the canonical diagram.
-
-    ``n`` defaults to the number of pairs; when given it must agree.  Every
-    label must lie in 1..2n and occur exactly once; the error message names
-    the first offending label.
+    With n pairs, every label must lie in 1..2n and occur exactly once; the
+    error message names the first offending label.  The 2n distinct labels
+    then cover every point.
     """
     pair_list = [(int(a), int(b)) for a, b in pairs]
-    if n is None:
-        n = len(pair_list)
+    n = len(pair_list)
     if n < 1:
         raise ValueError("a chord diagram needs at least one chord")
     seen = [False] * (2 * n + 1)
@@ -70,10 +49,7 @@ def from_pairs(pairs: Iterable[tuple[int, int]], n: int | None = None) -> ChordD
             if seen[point]:
                 raise ValueError(f"point {point} occurs more than once")
             seen[point] = True
-    if len(pair_list) < n:
-        raise ValueError(f"point {seen.index(False, 1)} is unmatched")
-    chords = tuple(sorted((a, b) if a < b else (b, a) for a, b in pair_list))
-    return ChordDiagram(chords)
+    return tuple(sorted((a, b) if a < b else (b, a) for a, b in pair_list))
 
 
 def crosses(chord1: Chord, chord2: Chord) -> bool:
@@ -132,12 +108,12 @@ def _sizes(roots: list[int]) -> dict[int, int]:
     return sizes
 
 
-def intersection_graph(diagram: ChordDiagram) -> IntersectionGraph:
-    edges, roots = _components(diagram.chords)
+def intersection_graph(chords: Sequence[Chord]) -> IntersectionGraph:
+    edges, roots = _components(chords)
     sizes = _sizes(roots)
     consecutive = {root: label for label, root in enumerate(sizes)}
     return IntersectionGraph(
-        diagram.n,
+        len(chords),
         frozenset(edges),
         tuple(consecutive[root] for root in roots),
         tuple(sorted(sizes.values())),
@@ -176,10 +152,6 @@ def classify_chords(chords: Sequence[Chord]) -> Classification:
     )
 
 
-def classify(diagram: ChordDiagram) -> Classification:
-    return classify_chords(diagram.chords)
-
-
 def blocks_cross(block1: Sequence[int], block2: Sequence[int]) -> bool:
     """Whether two disjoint point sets cross.
 
@@ -198,7 +170,7 @@ def blocks_cross(block1: Sequence[int], block2: Sequence[int]) -> bool:
     return False
 
 
-def parse_diagram(text: str) -> ChordDiagram:
+def parse_diagram(text: str) -> tuple[Chord, ...]:
     """Parse the text form ``a-b,c-d,...`` with 1-based labels."""
     pairs = []
     for token in text.split(","):
@@ -212,11 +184,7 @@ def parse_diagram(text: str) -> ChordDiagram:
     return from_pairs(pairs)
 
 
-def format_diagram(diagram: ChordDiagram) -> str:
-    """Canonical text form ``a-b,c-d,...``, as :func:`parse_diagram` reads it."""
-    return format_chords(diagram.chords)
-
-
 def format_chords(chords: Sequence[Chord]) -> str:
-    """Text form ``a-b,c-d,...`` of a chord list, in the order given."""
+    """Text form ``a-b,c-d,...`` of a chord list, in the order given, as
+    :func:`parse_diagram` reads it."""
     return ",".join(f"{a}-{b}" for a, b in chords)

@@ -20,7 +20,6 @@ __all__ = [
     "binomial",
     "catalan",
     "double_factorial_pairings",
-    "falling_factorial",
     "forest_count",
     "forest_row",
     "kreweras_count",
@@ -47,18 +46,6 @@ def binomial(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return math.comb(a, b)
-
-
-def falling_factorial(n: int, length: int) -> int:
-    """Product n (n-1) ... (n-length+1); the empty product (length 0) is 1."""
-    if n < 0 or length < 0:
-        raise ValueError(
-            f"falling_factorial requires n, length >= 0, got n={n}, length={length}"
-        )
-    product = 1
-    for i in range(length):
-        product *= n - i
-    return product
 
 
 def double_factorial_pairings(n: int) -> int:
@@ -277,7 +264,7 @@ def kreweras_count(sizes: Sequence[int]) -> int:
     denominator = 1
     for mult in Counter(sizes).values():
         denominator *= math.factorial(mult)
-    return _exact_div(falling_factorial(sum(sizes), len(sizes) - 1), denominator)
+    return _exact_div(math.perm(sum(sizes), len(sizes) - 1), denominator)
 
 
 def type_sum_forest_count(n: int, m: int) -> int:

@@ -21,7 +21,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .diagrams import Chord, ChordDiagram, blocks_cross, classify_chords
+from .diagrams import Chord, blocks_cross, classify_chords
 from .errors import EnumerationCapError
 
 DIAGRAM_CAP = 8
@@ -69,7 +69,7 @@ def _iter_pairings(points: tuple[int, ...]) -> Iterator[tuple[Chord, ...]]:
 
 def enumerate_diagrams(
     n: int,
-    visit: Callable[[ChordDiagram], None] | None = None,
+    visit: Callable[[tuple[Chord, ...]], None] | None = None,
     cap: int = DIAGRAM_CAP,
 ) -> int:
     """Visit all (2n-1)!! diagrams of size n once each; return the visit count."""
@@ -80,7 +80,7 @@ def enumerate_diagrams(
     for chords in _iter_pairings(tuple(range(1, 2 * n + 1))):
         count += 1
         if visit is not None:
-            visit(ChordDiagram(chords))
+            visit(chords)
     return count
 
 
@@ -101,10 +101,6 @@ class CountTable:
     @property
     def total_forests(self) -> int:
         return sum(self.forests_by_trees.values())
-
-    @property
-    def tree_count(self) -> int:
-        return self.forests_by_trees.get(1, 0)
 
 
 def _tally(

@@ -669,7 +669,21 @@ class TestRender:
         for text in ("1-2", "1-4,2-3", "1-8,2-9,3-5,7-10,4-6"):
             diagram = parse_diagram(text)
             svg = diagram_to_svg(diagram)
-            assert svg.count("<line ") == diagram.n
+            assert svg.count("<line ") == len(diagram)
+
+    @pytest.mark.parametrize(
+        "diagram, sha256, size",
+        [
+            (FIGURE, "c824f7dd8a2632e5d8f89b0c669180c9083f9a3ab983ce4fee3fe51316db2408", 2346),
+            ("1-2", "d2bb20a096b1ef5111f40abc9c86aca89e9de1f6eed1f63d8ad6fa2e1e360faf", 653),
+        ],
+    )
+    def test_svg_bytes_are_pinned(self, tmp_path, capsys, diagram, sha256, size):
+        out_path = tmp_path / "figure.svg"
+        code, _, _ = _run(capsys, "render", "--diagram", diagram, "--out", str(out_path))
+        assert code == EXIT_OK
+        data = out_path.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
 
 
 def test_module_entry_point_runs_in_subprocess():

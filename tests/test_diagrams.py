@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from chordforest.diagrams import (
     blocks_cross,
-    classify,
+    classify_chords,
     crosses,
-    format_diagram,
+    format_chords,
     from_pairs,
     intersection_graph,
     parse_diagram,
@@ -35,7 +35,7 @@ def _supports(diagram):
     """Endpoint sets of the diagram's components, as sorted blocks sorted by minimum."""
     grouped = {}
     for index, label in enumerate(intersection_graph(diagram).component_id):
-        grouped.setdefault(label, []).extend(diagram.chords[index])
+        grouped.setdefault(label, []).extend(diagram[index])
     return tuple(sorted(tuple(sorted(points)) for points in grouped.values()))
 
 
@@ -48,33 +48,29 @@ def _crossing_supports(blocks):
 
 
 def _endpoints(diagram):
-    return sorted(point for chord in diagram.chords for point in chord)
+    return sorted(point for chord in diagram for point in chord)
 
 
 class TestFromPairs:
     def test_five_chord_example(self):
-        diagram = from_pairs(FIVE_CHORD_PAIRS, n=5)
-        assert diagram.n == 5
-        assert diagram.chords == ((1, 8), (2, 9), (3, 5), (4, 6), (7, 10))
+        diagram = from_pairs(FIVE_CHORD_PAIRS)
+        assert len(diagram) == 5
+        assert diagram == ((1, 8), (2, 9), (3, 5), (4, 6), (7, 10))
         assert _endpoints(diagram) == list(range(1, 11))
 
     def test_single_chord(self):
-        assert from_pairs([(1, 2)]).chords == ((1, 2),)
+        assert from_pairs([(1, 2)]) == ((1, 2),)
 
     def test_reversed_pairs_are_normalized(self):
-        assert from_pairs([(4, 1), (2, 3)]).chords == ((1, 4), (2, 3))
+        assert from_pairs([(4, 1), (2, 3)]) == ((1, 4), (2, 3))
 
     def test_duplicate_point(self):
         with pytest.raises(ValueError, match="point 2"):
-            from_pairs([(1, 2), (2, 3)], n=2)
+            from_pairs([(1, 2), (2, 3)])
 
     def test_out_of_range_point(self):
         with pytest.raises(ValueError, match="point 5"):
-            from_pairs([(1, 5)], n=1)
-
-    def test_unmatched_point(self):
-        with pytest.raises(ValueError, match="point 3"):
-            from_pairs([(1, 2)], n=2)
+            from_pairs([(1, 5)])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -93,7 +89,7 @@ class TestCrosses:
     def test_symmetric_on_all_small_diagrams(self):
         for n in range(1, 7):
             for diagram in _all_diagrams(n):
-                for c1, c2 in itertools.combinations(diagram.chords, 2):
+                for c1, c2 in itertools.combinations(diagram, 2):
                     assert crosses(c1, c2) == crosses(c2, c1)
 
 
@@ -148,21 +144,21 @@ def _is_acyclic(vertex_count, edges):
 
 class TestClassify:
     def test_five_chord_example_is_not_forest(self):
-        shape = classify(from_pairs(FIVE_CHORD_PAIRS))
+        shape = classify_chords(from_pairs(FIVE_CHORD_PAIRS))
         assert shape.component_count == 2
         assert not shape.is_forest
         assert not shape.is_tree
         assert shape.tree_sizes is None
 
     def test_two_crossing_chords_form_a_tree(self):
-        shape = classify(from_pairs([(1, 3), (2, 4)]))
+        shape = classify_chords(from_pairs([(1, 3), (2, 4)]))
         assert shape.component_count == 1
         assert shape.is_tree
         assert shape.tree_sizes == (2,)
 
     def test_unique_non_forest_among_size_three(self):
         non_forests = [
-            d.chords for d in _all_diagrams(3) if not classify(d).is_forest
+            d for d in _all_diagrams(3) if not classify_chords(d).is_forest
         ]
         # the one diagram whose three chords pairwise cross
         assert non_forests == [((1, 4), (2, 5), (3, 6))]
@@ -170,7 +166,7 @@ class TestClassify:
     def test_edge_count_rule_agrees_with_bfs_cycle_search(self):
         for n in range(1, 7):
             for diagram in _all_diagrams(n):
-                shape = classify(diagram)
+                shape = classify_chords(diagram)
                 graph = intersection_graph(diagram)
                 assert shape.is_forest == _is_acyclic(n, graph.edges)
                 assert shape.component_count == len(graph.component_sizes)
@@ -179,7 +175,7 @@ class TestClassify:
 
     def test_trees_have_one_component(self):
         for diagram in _all_diagrams(4):
-            shape = classify(diagram)
+            shape = classify_chords(diagram)
             assert shape.is_tree == (shape.is_forest and shape.component_count == 1)
 
 
@@ -244,12 +240,12 @@ class TestTextFormat:
 
     def test_format_is_canonical(self):
         diagram = parse_diagram("1-8,2-9,3-5,7-10,4-6")
-        assert format_diagram(diagram) == "1-8,2-9,3-5,4-6,7-10"
+        assert format_chords(diagram) == "1-8,2-9,3-5,4-6,7-10"
 
     def test_round_trip_all_small_diagrams(self):
         for n in range(1, 6):
             for diagram in _all_diagrams(n):
-                assert parse_diagram(format_diagram(diagram)) == diagram
+                assert parse_diagram(format_chords(diagram)) == diagram
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
@@ -264,15 +260,15 @@ class TestTextFormat:
 def test_random_pairings_are_consistent(points):
     pairs = [(points[2 * i], points[2 * i + 1]) for i in range(6)]
     diagram = from_pairs(pairs)
-    shape = classify(diagram)
+    shape = classify_chords(diagram)
     graph = intersection_graph(diagram)
     assert shape.component_count == len(graph.component_sizes)
-    assert shape.is_forest == (len(graph.edges) == diagram.n - shape.component_count)
+    assert shape.is_forest == (len(graph.edges) == len(diagram) - shape.component_count)
     assert _crossing_supports(_supports(diagram)) == []
-    assert parse_diagram(format_diagram(diagram)) == diagram
+    assert parse_diagram(format_chords(diagram)) == diagram
     # the chords are ascending pairs that use every point once
     assert _endpoints(diagram) == list(range(1, 13))
-    for a, b in diagram.chords:
+    for a, b in diagram:
         assert a < b
-    starts = [a for a, _ in diagram.chords]
+    starts = [a for a, _ in diagram]
     assert starts == sorted(starts) and starts[0] == 1

@@ -20,7 +20,6 @@ from chordforest.formulas import (
     binomial,
     catalan,
     double_factorial_pairings,
-    falling_factorial,
     forest_count,
     forest_row,
     kreweras_count,
@@ -80,25 +79,6 @@ class TestBinomial:
     @given(st.integers(0, 120), st.integers(-10, 130))
     def test_pascal_step(self, a, b):
         assert binomial(a + 1, b) == binomial(a, b) + binomial(a, b - 1)
-
-
-class TestFallingFactorial:
-    def test_matches_direct_product(self):
-        for n in range(9):
-            for length in range(12):
-                expected = math.prod(range(n, n - length, -1))
-                assert falling_factorial(n, length) == expected
-
-    def test_spot_values(self):
-        assert falling_factorial(4, 1) == 4
-        assert falling_factorial(7, 0) == 1
-        assert falling_factorial(6, 3) == 120
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            falling_factorial(-1, 2)
-        with pytest.raises(ValueError):
-            falling_factorial(3, -1)
 
 
 class TestDoubleFactorial:
@@ -353,7 +333,7 @@ class TestKrewerasCount:
 def _inline_type_sum(n, m):
     """f(n, m) over forest types with the Kreweras count written out inline:
     the oracle for type_sum_forest_count, which calls kreweras_count."""
-    prefactor = falling_factorial(2 * n, m - 1)
+    prefactor = math.prod(range(2 * n, 2 * n - m + 1, -1))  # 2n (2n-1) ... (2n-m+2)
     total = 0
     for forest_type in enumerate_types(n, m):
         numerator = prefactor

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from chordforest.diagrams import blocks_cross, classify
+from chordforest.diagrams import blocks_cross, classify_chords
 from chordforest.errors import EnumerationCapError
 from chordforest.formulas import (
     catalan,
@@ -65,11 +65,11 @@ class TestEnumerateDiagrams:
             seen = set()
 
             def check(diagram):
-                seen.add(diagram.chords)
-                assert diagram.n == n
-                covered = sorted(p for chord in diagram.chords for p in chord)
+                seen.add(diagram)
+                assert len(diagram) == n
+                covered = sorted(p for chord in diagram for p in chord)
                 assert covered == list(range(1, 2 * n + 1))
-                for a, b in diagram.chords:
+                for a, b in diagram:
                     assert a < b
 
             count = enumerate_diagrams(n, check)
@@ -77,11 +77,11 @@ class TestEnumerateDiagrams:
 
     def test_deterministic_order(self):
         visited = []
-        enumerate_diagrams(3, lambda d: visited.append(d.chords))
+        enumerate_diagrams(3, visited.append)
         assert visited[0] == ((1, 2), (3, 4), (5, 6))
         assert visited[-1] == ((1, 6), (2, 5), (3, 4))
         second = []
-        enumerate_diagrams(3, lambda d: second.append(d.chords))
+        enumerate_diagrams(3, second.append)
         assert visited == second
 
     def test_cap(self):
@@ -109,23 +109,23 @@ class TestBruteForceCounts:
         assert table.rooted_by_trees == {1: 9, 2: 12, 3: 5}
         assert table.total_diagrams == 15
         assert table.total_forests == 14
-        assert table.tree_count == 3
+        assert table.forests_by_trees.get(1, 0) == 3
 
     def test_matches_formulas_up_to_six(self):
         for n in range(1, 7):
             table = brute_force_counts(n)
             assert table.total_diagrams == double_factorial_pairings(n)
-            assert table.tree_count == tree_count(n)
+            assert table.forests_by_trees.get(1, 0) == tree_count(n)
             for m in range(1, n + 1):
                 assert table.forests_by_trees.get(m, 0) == forest_count(n, m)
                 assert table.rooted_by_trees.get(m, 0) == rooted_forest_count(n, m)
 
     def test_rooted_tally_is_product_of_tree_sizes(self):
-        # recompute the rooted tally from classify directly
+        # recompute the rooted tally from classify_chords directly
         rooted = {}
 
         def accumulate(diagram):
-            shape = classify(diagram)
+            shape = classify_chords(diagram)
             if shape.is_forest:
                 product = 1
                 for size in shape.tree_sizes:
@@ -198,9 +198,9 @@ class TestIterForests:
             expected = []
 
             def keep_forest(diagram):
-                shape = classify(diagram)
+                shape = classify_chords(diagram)
                 if shape.is_forest:
-                    expected.append((diagram.chords, shape.tree_sizes))
+                    expected.append((diagram, shape.tree_sizes))
 
             enumerate_diagrams(n, keep_forest)
             assert list(iter_forests(n)) == expected
