@@ -39,6 +39,6 @@ from .oracle import (
     enumerate_noncrossing_partitions,
     enumerate_types,
 )
-from .series import TruncatedSeries, rooted_gf, solve_ternary_gf, tree_gf
+from .series import rooted_gf, solve_ternary_gf, tree_gf
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from collections.abc import Iterable, Iterator
 
 from . import diagrams, formulas, oracle
 from .errors import ConsistencyError
-from .series import TruncatedSeries, rooted_gf, solve_ternary_gf, tree_gf
+from .series import mul, rooted_gf, solve_ternary_gf, tree_gf
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -111,10 +111,10 @@ def cmd_series(args: argparse.Namespace) -> int:
     if args.which == "G":
         gf = solve_ternary_gf(args.order)
     elif args.which == "T":
-        gf = tree_gf(max(args.order, 1)).truncate(args.order)
+        gf = tree_gf(max(args.order, 1))[: args.order + 1]
     else:
-        gf = rooted_gf(max(args.order, 1)).truncate(args.order)
-    for index, coefficient in enumerate(gf.coeffs):
+        gf = rooted_gf(max(args.order, 1))[: args.order + 1]
+    for index, coefficient in enumerate(gf):
         print(f"{index},{coefficient}")
     return EXIT_OK
 
@@ -165,11 +165,11 @@ def _series_vs_formula(max_n: int) -> Iterator[tuple]:
         ("r", rooted_gf(max_n), formulas.rooted_forest_count),
     )
     for label, gf, closed_form in pairs:
-        power = TruncatedSeries.one(max_n)
+        power = (1,) + (0,) * max_n
         for m in range(1, max_n + 1):
-            power = power * gf
+            power = mul(power, gf)
             for n in range(m, max_n + 1):
-                numerator = formulas.binomial(2 * n, m - 1) * power.coeff(n)
+                numerator = formulas.binomial(2 * n, m - 1) * power[n]
                 quotient, remainder = divmod(numerator, m)
                 # an inexact quotient is shown as a fraction, which equals no count
                 series = f"{numerator}/{m}" if remainder else quotient

@@ -1,7 +1,7 @@
-"""Exact truncated formal power series and the tree-diagram generating functions.
+"""Exact truncated power series and the tree-diagram generating functions.
 
-A :class:`TruncatedSeries` holds integer coefficients c_0..c_N of a series
-known modulo x^(N+1).  Arithmetic is exact; truncation only ever discards
+A series known modulo x^(N+1) is the tuple of its integer coefficients
+(c_0, ..., c_N).  Arithmetic is exact; truncation only ever discards
 high-order terms.
 
 The three series of interest are built from their functional equations, not
@@ -15,148 +15,39 @@ to the same numbers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import mul
+import operator
 
 from .errors import ConsistencyError
 
 __all__ = [
-    "TruncatedSeries",
+    "mul",
     "rooted_gf",
     "solve_ternary_gf",
     "tree_gf",
+    "x_derivative",
 ]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Integer coefficients c_0..c_N of a series modulo x^(N+1)."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("a truncated series needs at least the constant term")
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.monomial(0, order, 0)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.monomial(0, order)
-
-    @classmethod
-    def x(cls, order: int) -> "TruncatedSeries":
-        return cls.monomial(1, order)
-
-    @classmethod
-    def monomial(
-        cls, exponent: int, order: int, coefficient: int = 1
-    ) -> "TruncatedSeries":
-        """coefficient * x^exponent as an order-``order`` series (zero if truncated away)."""
-        if exponent < 0 or order < 0:
-            raise ValueError(
-                f"monomial requires exponent, order >= 0, got {exponent}, {order}"
-            )
-        values = [0] * (order + 1)
-        if exponent <= order:
-            values[exponent] = coefficient
-        return cls(tuple(values))
-
-    # -- basics ----------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, index: int) -> int:
-        if not 0 <= index <= self.order:
-            raise ValueError(
-                f"coefficient {index} is outside the kept range 0..{self.order}"
-            )
-        return self.coeffs[index]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order < 0 or order > self.order:
-            raise ValueError(
-                f"cannot truncate an order-{self.order} series to order {order}"
-            )
-        if order == self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    # -- ring operations (results live at the smaller operand order) ------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1))
-        )
-
-    def __mul__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
-        if isinstance(other, int):
-            return TruncatedSeries(tuple(value * other for value in self.coeffs))
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        a, b = self.coeffs, other.coeffs
-        for i in range(n + 1):
-            ai = a[i]
-            if ai:
-                for j in range(n + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return TruncatedSeries(tuple(out))
-
-    def pow(self, exponent: int) -> "TruncatedSeries":
-        """Nonnegative integer power, by repeated squaring at this order."""
-        if exponent < 0:
-            raise ValueError(f"pow requires exponent >= 0, got {exponent}")
-        result = TruncatedSeries.one(self.order)
-        base = self
-        remaining = exponent
-        while remaining:
-            if remaining & 1:
-                result = result * base
-            remaining >>= 1
-            if remaining:
-                base = base * base
-        return result
-
-    def derivative(self) -> "TruncatedSeries":
-        """Termwise d/dx; the result is known to one order less."""
-        if self.order == 0:
-            return TruncatedSeries.zero(0)
-        return TruncatedSeries(
-            tuple(i * self.coeffs[i] for i in range(1, self.order + 1))
-        )
-
-    def shift_mul_x(self, k: int = 1) -> "TruncatedSeries":
-        """Multiply by x^k; the product is known to k more orders."""
-        if k < 0:
-            raise ValueError(f"shift_mul_x requires k >= 0, got {k}")
-        return TruncatedSeries((0,) * k + self.coeffs)
+def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product a b, known to the smaller of the two orders."""
+    n = min(len(a), len(b)) - 1
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        ai = a[i]
+        if ai:
+            for j in range(n + 1 - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] += ai * bj
+    return tuple(out)
 
 
-def solve_ternary_gf(order: int) -> TruncatedSeries:
+def x_derivative(a: tuple[int, ...]) -> tuple[int, ...]:
+    """x a', known to the same order as a."""
+    return tuple(map(operator.mul, range(len(a)), a))
+
+
+def solve_ternary_gf(order: int) -> tuple[int, ...]:
     """The unique series G with G = 1 + x G^3, modulo x^(order+1).
 
     Online coefficient recurrence: g_0 = 1 and g_n = [x^(n-1)] G^3 for
@@ -167,27 +58,22 @@ def solve_ternary_gf(order: int) -> TruncatedSeries:
     J. van der Hoeven, *Relax, but don't be too lazy*, J. Symbolic Comput.
     34 (2002).  It uses nothing but the defining equation, which is
     re-checked at full order before returning, with G^3 recomputed by
-    ``TruncatedSeries.pow`` rather than taken from the running lists.
+    :func:`mul` rather than taken from the running lists.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     g, g2, g3 = [1], [1], [1]
     for n in range(1, order + 1):
         g.append(g3[n - 1])
-        g2.append(sum(map(mul, g, reversed(g))))
-        g3.append(sum(map(mul, g, reversed(g2))))
-    series = TruncatedSeries(tuple(g))
-    residual = (
-        series
-        - TruncatedSeries.one(order)
-        - series.pow(3).shift_mul_x().truncate(order)
-    )
-    if not residual.is_zero():
+        g2.append(sum(map(operator.mul, g, reversed(g))))
+        g3.append(sum(map(operator.mul, g, reversed(g2))))
+    g = tuple(g)
+    if g != (1,) + mul(mul(g, g), g)[:-1]:
         raise ConsistencyError(f"G - 1 - x G^3 is nonzero at order {order}")
-    return series
+    return g
 
 
-def tree_gf(order: int) -> TruncatedSeries:
+def tree_gf(order: int) -> tuple[int, ...]:
     """Series T = sum t_n x^n counting tree diagrams, via T = x G(x).
 
     T has no check of its own, because one would find nothing new.  With
@@ -198,10 +84,10 @@ def tree_gf(order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return solve_ternary_gf(order - 1).shift_mul_x()
+    return (0,) + solve_ternary_gf(order - 1)
 
 
-def rooted_gf(order: int) -> TruncatedSeries:
+def rooted_gf(order: int) -> tuple[int, ...]:
     """Series R = sum n t_n x^n counting tree diagrams with a marked root chord.
 
     Computed as R = x T' and checked against the closed form
@@ -214,8 +100,9 @@ def rooted_gf(order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     t = tree_gf(order + 1)
-    r = t.derivative().shift_mul_x()
-    x = TruncatedSeries.x(order + 1)
-    if r * (x - t.pow(2) * 3) != (x * 2 - t).shift_mul_x().truncate(order + 1):
+    r = x_derivative(t)
+    denominator = tuple((k == 1) - 3 * c for k, c in enumerate(mul(t, t)))
+    numerator = (0,) + tuple(2 * (k == 1) - c for k, c in enumerate(t[:-1]))
+    if mul(r, denominator) != numerator:
         raise ConsistencyError("x T' disagrees with x (2x - T) / (x - 3 T^2)")
-    return r.truncate(order)
+    return r[: order + 1]

@@ -22,7 +22,7 @@ from chordforest.formulas import (
     type_sum_forest_count,
 )
 from chordforest.oracle import brute_force_counts, enumerate_noncrossing_partitions
-from chordforest.series import TruncatedSeries, rooted_gf, solve_ternary_gf, tree_gf
+from chordforest.series import mul, rooted_gf, solve_ternary_gf, tree_gf
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -106,11 +106,11 @@ def test_criterion_4_series_equals_formula_up_to_sixty():
         ("r", rooted_gf(SERIES_MAX), rooted_forest_count),
     )
     for label, gf, closed_form in routes:
-        power = TruncatedSeries.one(SERIES_MAX)
+        power = (1,) + (0,) * SERIES_MAX
         for m in range(1, SERIES_MAX + 1):
-            power = power * gf
+            power = mul(power, gf)
             for n in range(m, SERIES_MAX + 1):
-                numerator = binomial(2 * n, m - 1) * power.coeff(n)
+                numerator = binomial(2 * n, m - 1) * power[n]
                 quotient, remainder = divmod(numerator, m)
                 if remainder or quotient != closed_form(n, m):
                     failures.append(
@@ -126,19 +126,18 @@ def test_criterion_5_generating_function_identities():
     g = solve_ternary_gf(order)
     t = tree_gf(order)
     r = rooted_gf(order)
-    if not (g - TruncatedSeries.one(order) - g.pow(3).shift_mul_x().truncate(order)).is_zero():
+    if g != (1,) + mul(mul(g, g), g)[:order]:
         failures.append("G - 1 - x G^3 != 0")
-    if not (
-        t.shift_mul_x().truncate(order) - TruncatedSeries.monomial(2, order) - t.pow(3)
-    ).is_zero():
+    if (0, 0, 0) + t[2:order] != mul(mul(t, t), t):
         failures.append("x T - x^2 - T^3 != 0")
     # R (x - 3 T^2) = x (2x - T) by cross-multiplication, one order higher so
     # that the product reaches r_40; the zero that pads R to x^41 meets only
     # the zero constant term of x - 3 T^2
     t_up = tree_gf(order + 1)
-    x = TruncatedSeries.x(order + 1)
-    product = TruncatedSeries(r.coeffs + (0,)) * (x - t_up.pow(2) * 3)
-    if product != (x * 2 - t_up).shift_mul_x().truncate(order + 1):
+    x = (0, 1) + (0,) * order
+    x_minus_3t2 = tuple(a - 3 * b for a, b in zip(x, mul(t_up, t_up)))
+    x_times_2x_minus_t = (0,) + tuple(2 * a - b for a, b in zip(x, t_up[: order + 1]))
+    if mul(r + (0,), x_minus_3t2) != x_times_2x_minus_t:
         failures.append("x T' != x (2x - T) / (x - 3 T^2)")
     _report(5, "generating-function identities at order 40", failures)
 

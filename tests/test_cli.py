@@ -21,6 +21,7 @@ import pytest
 import chordforest.cli
 import chordforest.formulas
 import chordforest.oracle
+import chordforest.series
 from chordforest.cli import (
     EXIT_IO,
     EXIT_MISMATCH,
@@ -37,7 +38,6 @@ from chordforest.formulas import (
     rooted_forest_count,
     tree_count,
 )
-from chordforest.series import TruncatedSeries
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -276,10 +276,12 @@ class TestSeries:
         assert code == EXIT_OK
         assert out.splitlines() == ["0,1", "1,1", "2,3", "3,12", "4,55"]
 
-    def test_t_low_order(self, capsys):
-        code, out, _ = _run(capsys, "series", "--which", "T", "--order", "1")
+    @pytest.mark.parametrize(("which", "order"), [("T", 0), ("T", 1), ("R", 0), ("R", 1)])
+    def test_t_low_order(self, capsys, which, order):
+        # T and R are built at order max(order, 1), then cut to order
+        code, out, _ = _run(capsys, "series", "--which", which, "--order", str(order))
         assert code == EXIT_OK
-        assert out.splitlines() == ["0,0", "1,1"]
+        assert out.splitlines() == ["0,0", "1,1"][: order + 1]
 
     def test_r_coefficients(self, capsys):
         code, out, _ = _run(capsys, "series", "--which", "R", "--order", "3")
@@ -535,25 +537,29 @@ class TestVerify:
         )
 
     def test_inexact_series_quotient_is_shown_as_a_fraction(self, capsys, monkeypatch):
-        genuine = TruncatedSeries.coeff
+        genuine = chordforest.cli.mul
 
-        def corrupted(series, index):
+        def corrupted(a, b):
             # [x^4] T^3 is 3; C(8, 2) * 4 / 3 is not an integer
-            is_t_cubed = series.coeffs[:5] == (0, 0, 0, 1, 3)
-            return genuine(series, index) + (index == 4 and is_t_cubed)
+            product = genuine(a, b)
+            if product[:5] == (0, 0, 0, 1, 3):
+                product = product[:4] + (product[4] + 1,) + product[5:]
+            return product
 
-        monkeypatch.setattr(TruncatedSeries, "coeff", corrupted)
+        monkeypatch.setattr(chordforest.cli, "mul", corrupted)
         self._failure(
             capsys, "formula-vs-series (n<=4)", "f(n=4, m=3) formula=28 series=112/3"
         )
 
     def test_failed_self_check_is_a_counterexample(self, capsys, monkeypatch):
-        genuine = TruncatedSeries.pow
+        genuine = chordforest.series.mul
 
-        def off_by_one(series, exponent):
-            return genuine(series, exponent) + TruncatedSeries.one(series.order)
+        def off_by_one(a, b):
+            product = genuine(a, b)
+            return (product[0] + 1,) + product[1:]
 
-        monkeypatch.setattr(TruncatedSeries, "pow", off_by_one)
+        # corrupts the self-check's product, not the bridge's powers in cli
+        monkeypatch.setattr(chordforest.series, "mul", off_by_one)
         code, out, _ = _run(
             capsys, "verify", "--max-n-formula", "4", "--max-n-brute", "2"
         )

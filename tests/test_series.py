@@ -18,10 +18,11 @@ from chordforest.formulas import (
     tree_count,
 )
 from chordforest.series import (
-    TruncatedSeries,
+    mul,
     rooted_gf,
     solve_ternary_gf,
     tree_gf,
+    x_derivative,
 )
 
 
@@ -34,15 +35,33 @@ def _naive_product(a, b, order):
     return tuple(out)
 
 
+def _power(series, exponent):
+    """series^exponent by repeated mul, at the order of series."""
+    result = (1,) + (0,) * (len(series) - 1)
+    for _ in range(exponent):
+        result = mul(result, series)
+    return result
+
+
+def _off_by_one(genuine):
+    """A corrupted product: genuine(a, b) plus one."""
+
+    def corrupted(a, b):
+        product = genuine(a, b)
+        return (product[0] + 1,) + product[1:]
+
+    return corrupted
+
+
 def _fixed_point_ternary_gf(order):
     """Oracle for solve_ternary_gf: fixed-point rounds G <- 1 + x G^3.
 
     After k rounds the first k+1 coefficients are exact, so the working
     order grows with the round; about O(order^3) products, small orders only.
     """
-    g = TruncatedSeries.one(0)
-    for k in range(1, order + 1):
-        g = TruncatedSeries.one(k) + g.pow(3).shift_mul_x()
+    g = (1,)
+    for _ in range(order):
+        g = (1,) + _power(g, 3)
     return g
 
 
@@ -51,72 +70,37 @@ coeff_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=10)
 
 class TestRingOperations:
     def test_product_of_conjugates(self):
-        one_plus = TruncatedSeries((1, 1, 0, 0))
-        one_minus = TruncatedSeries((1, -1, 0, 0))
-        assert (one_plus * one_minus).coeffs == (1, 0, -1, 0)
+        assert mul((1, 1, 0, 0), (1, -1, 0, 0)) == (1, 0, -1, 0)
 
     @given(coeff_lists, coeff_lists)
     def test_mul_matches_naive_convolution(self, a, b):
         order = min(len(a), len(b)) - 1
-        product = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
-        assert product.coeffs == _naive_product(a, b, order)
+        assert mul(tuple(a), tuple(b)) == _naive_product(a, b, order)
 
     @given(coeff_lists, coeff_lists)
     def test_mul_commutes(self, a, b):
-        left = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
-        right = TruncatedSeries(tuple(b)) * TruncatedSeries(tuple(a))
-        assert left == right
+        assert mul(tuple(a), tuple(b)) == mul(tuple(b), tuple(a))
 
     @given(coeff_lists, coeff_lists, coeff_lists)
     def test_mul_associates_and_distributes(self, a, b, c):
-        sa, sb, sc = (TruncatedSeries(tuple(v)) for v in (a, b, c))
-        order = min(s.order for s in (sa, sb, sc))
-        sa, sb, sc = (s.truncate(order) for s in (sa, sb, sc))
-        assert (sa * sb) * sc == sa * (sb * sc)
-        assert sa * (sb + sc) == sa * sb + sa * sc
-
-    def test_pow_matches_repeated_mul(self):
-        base = TruncatedSeries((0, 1, 2, -1, 3, 0, 0, 0, 0))
-        running = TruncatedSeries.one(8)
-        for exponent in range(7):
-            assert base.pow(exponent) == running
-            running = running * base
-
-    def test_pow_zero_and_negative(self):
-        base = TruncatedSeries((2, 1, 0, 0, 0))
-        assert base.pow(0) == TruncatedSeries.one(4)
-        with pytest.raises(ValueError):
-            base.pow(-1)
+        length = min(len(v) for v in (a, b, c))
+        sa, sb, sc = (tuple(v[:length]) for v in (a, b, c))
+        assert mul(mul(sa, sb), sc) == mul(sa, mul(sb, sc))
+        # and distributes over the coefficientwise sum
+        sum_bc = tuple(map(sum, zip(sb, sc)))
+        assert mul(sa, sum_bc) == tuple(map(sum, zip(mul(sa, sb), mul(sa, sc))))
 
     def test_derivative(self):
-        series = TruncatedSeries((7, 1, 1, 3, 12))
-        assert series.derivative().coeffs == (1, 2, 9, 48)
-        assert TruncatedSeries.one(0).derivative().is_zero()
-
-    def test_shift_mul_x(self):
-        series = TruncatedSeries((1, 2))
-        assert series.shift_mul_x().coeffs == (0, 1, 2)
-        assert series.shift_mul_x(3).coeffs == (0, 0, 0, 1, 2)
-
-    def test_coeff_bounds(self):
-        series = TruncatedSeries((1, 2, 3))
-        assert series.coeff(2) == 3
-        with pytest.raises(ValueError):
-            series.coeff(3)
-
-    def test_truncate(self):
-        series = TruncatedSeries((1, 2, 3))
-        assert series.truncate(1).coeffs == (1, 2)
-        with pytest.raises(ValueError):
-            series.truncate(5)
+        assert x_derivative((7, 1, 1, 3, 12)) == (0, 1, 2, 9, 48)
+        assert x_derivative((1,)) == (0,)
 
 
 class TestTernaryGF:
     def test_coefficients_match_shifted_tree_counts(self):
         g = solve_ternary_gf(8)
-        assert g.coeffs[:5] == (1, 1, 3, 12, 55)
+        assert g[:5] == (1, 1, 3, 12, 55)
         for k in range(9):
-            assert g.coeff(k) == tree_count(k + 1)
+            assert g[k] == tree_count(k + 1)
 
     def test_coefficients_match_direct_closed_form(self):
         # C(3k, k) / (2k + 1), computed straight from math.comb
@@ -124,31 +108,23 @@ class TestTernaryGF:
         for k in range(301):
             quotient, remainder = divmod(math.comb(3 * k, k), 2 * k + 1)
             assert remainder == 0
-            assert g.coeff(k) == quotient
+            assert g[k] == quotient
 
     def test_residual_is_zero_at_fifty(self):
         g = solve_ternary_gf(50)
-        residual = (
-            g - TruncatedSeries.one(50) - g.pow(3).shift_mul_x().truncate(50)
-        )
-        assert residual.is_zero()
+        assert g == (1,) + _power(g, 3)[:50]
 
     def test_order_zero(self):
-        assert solve_ternary_gf(0).coeffs == (1,)
+        assert solve_ternary_gf(0) == (1,)
 
     def test_recurrence_matches_fixed_point_oracle(self):
         for order in range(41):
             assert solve_ternary_gf(order) == _fixed_point_ternary_gf(order)
 
     def test_nonzero_residual_raises(self, monkeypatch):
-        # The residual recomputes G^3 through TruncatedSeries.pow, a path
-        # the recurrence does not use; corrupting it must be caught.
-        genuine = TruncatedSeries.pow
-
-        def off_by_one(series, exponent):
-            return genuine(series, exponent) + TruncatedSeries.one(series.order)
-
-        monkeypatch.setattr(TruncatedSeries, "pow", off_by_one)
+        # The residual recomputes G^3 through mul, a path the recurrence
+        # does not use; corrupting it must be caught.
+        monkeypatch.setattr(chordforest.series, "mul", _off_by_one(mul))
         with pytest.raises(ConsistencyError, match="G - 1 - x G\\^3 is nonzero"):
             solve_ternary_gf(10)
 
@@ -156,28 +132,20 @@ class TestTernaryGF:
 class TestTreeGF:
     def test_coefficients(self):
         t = tree_gf(5)
-        assert t.coeffs == (0, 1, 1, 3, 12, 55)
+        assert t == (0, 1, 1, 3, 12, 55)
 
     def test_defining_identity_at_forty(self):
         t = tree_gf(40)
-        residual = (
-            t.shift_mul_x().truncate(40)
-            - TruncatedSeries.monomial(2, 40)
-            - t.pow(3)
-        )
-        assert residual.is_zero()
+        # x T - x^2 = T^3
+        x_t_minus_x2 = (0, 0, 0) + t[2:40]
+        assert x_t_minus_x2 == _power(t, 3)
 
     def test_division_by_x_recovers_g(self):
-        assert tree_gf(9).coeffs == (0,) + solve_ternary_gf(8).coeffs
+        assert tree_gf(9) == (0,) + solve_ternary_gf(8)
 
     def test_corrupted_power_is_caught_without_a_check_of_its_own(self, monkeypatch):
-        # T and R are built from G, whose self-check recomputes G^3 by pow.
-        genuine = TruncatedSeries.pow
-
-        def off_by_one(series, exponent):
-            return genuine(series, exponent) + TruncatedSeries.one(series.order)
-
-        monkeypatch.setattr(TruncatedSeries, "pow", off_by_one)
+        # T and R are built from G, whose self-check recomputes G^3 by mul.
+        monkeypatch.setattr(chordforest.series, "mul", _off_by_one(mul))
         for build in (tree_gf, rooted_gf):
             with pytest.raises(ConsistencyError):
                 build(10)
@@ -186,19 +154,20 @@ class TestTreeGF:
 class TestRootedGF:
     def test_coefficients_are_n_times_tree_counts(self):
         r = rooted_gf(12)
-        assert r.coeffs[:6] == (0, 1, 2, 9, 48, 275)
+        assert r[:6] == (0, 1, 2, 9, 48, 275)
         for n in range(1, 13):
-            assert r.coeff(n) == n * tree_count(n)
+            assert r[n] == n * tree_count(n)
 
     def test_closed_form_route_agrees_at_forty(self):
         # R (x - 3 T^2) = x (2x - T), with T one order higher so that the
         # product reaches r_40; r_41 would meet the zero constant term of
         # x - 3 T^2, so a zero stands in for it
         t = tree_gf(41)
-        x = TruncatedSeries.x(41)
         r = rooted_gf(40)
-        product = TruncatedSeries(r.coeffs + (0,)) * (x - t.pow(2) * 3)
-        assert product == (x * 2 - t).shift_mul_x().truncate(41)
+        x = (0, 1) + (0,) * 40
+        x_minus_3t2 = tuple(a - 3 * b for a, b in zip(x, _power(t, 2)))
+        x_times_2x_minus_t = (0,) + tuple(2 * a - b for a, b in zip(x, t[:41]))
+        assert mul(r + (0,), x_minus_3t2) == x_times_2x_minus_t
 
     @pytest.mark.parametrize("index", range(1, 11))
     def test_wrong_tree_coefficient_is_caught(self, monkeypatch, index):
@@ -206,27 +175,25 @@ class TestRootedGF:
         genuine = tree_gf
 
         def off_by_one(order):
-            coeffs = list(genuine(order).coeffs)
+            coeffs = list(genuine(order))
             coeffs[index] += 1
-            return TruncatedSeries(tuple(coeffs))
+            return tuple(coeffs)
 
         monkeypatch.setattr(chordforest.series, "tree_gf", off_by_one)
         with pytest.raises(ConsistencyError, match="x T' disagrees with "):
             rooted_gf(10)
 
-
     @pytest.mark.parametrize("index", range(10))
     def test_wrong_derivative_coefficient_is_caught(self, monkeypatch, index):
-        # Index 9 of T' at order 11 is r_10, the top coefficient of
-        # rooted_gf(10); with T built at order 10 it would go unchecked.
-        genuine = TruncatedSeries.derivative
-
+        # Each case corrupts r_(index+1).  Case 9 corrupts r_10, the top
+        # coefficient of rooted_gf(10); with T built at order 10 it would
+        # go unchecked.
         def off_by_one(series):
-            coeffs = list(genuine(series).coeffs)
-            coeffs[index] += 1
-            return TruncatedSeries(tuple(coeffs))
+            coeffs = list(x_derivative(series))
+            coeffs[index + 1] += 1
+            return tuple(coeffs)
 
-        monkeypatch.setattr(TruncatedSeries, "derivative", off_by_one)
+        monkeypatch.setattr(chordforest.series, "x_derivative", off_by_one)
         with pytest.raises(ConsistencyError, match="x T' disagrees with "):
             rooted_gf(10)
 
@@ -235,48 +202,48 @@ class TestCoeffOfPower:
     def test_spot_values(self):
         t = tree_gf(10)
         r = rooted_gf(10)
-        assert t.pow(1).coeff(4) == 12
-        assert t.pow(3).coeff(3) == 1  # only t_1^3 contributes
-        assert t.pow(2).coeff(3) == 2  # 2 t_1 t_2
-        assert r.pow(2).coeff(4) == 2 * 9 + 2 * 2  # 2 r_1 r_3 + r_2^2
+        assert _power(t, 1)[4] == 12
+        assert _power(t, 3)[3] == 1  # only t_1^3 contributes
+        assert _power(t, 2)[3] == 2  # 2 t_1 t_2
+        assert _power(r, 2)[4] == 2 * 9 + 2 * 2  # 2 r_1 r_3 + r_2^2
 
     def test_valuation(self):
         t = tree_gf(8)
         for m in range(1, 9):
             for n in range(m):
-                assert t.pow(m).coeff(n) == 0
+                assert _power(t, m)[n] == 0
 
 
 class TestBridgesToClosedForms:
     def test_forest_count_bridge(self):
         # C(2n, m-1) [x^n] T^m / m recounts the forests
         t = tree_gf(25)
-        power = TruncatedSeries.one(25)
+        power = _power(t, 0)
         for m in range(1, 26):
-            power = power * t
+            power = mul(power, t)
             for n in range(m, 26):
-                value = binomial(2 * n, m - 1) * power.coeff(n)
+                value = binomial(2 * n, m - 1) * power[n]
                 assert value % m == 0
                 assert value // m == forest_count(n, m)
 
     def test_rooted_forest_count_bridge(self):
         r = rooted_gf(25)
-        power = TruncatedSeries.one(25)
+        power = _power(r, 0)
         for m in range(1, 26):
-            power = power * r
+            power = mul(power, r)
             for n in range(m, 26):
-                value = binomial(2 * n, m - 1) * power.coeff(n)
+                value = binomial(2 * n, m - 1) * power[n]
                 assert value % m == 0
                 assert value // m == rooted_forest_count(n, m)
 
     def test_lagrange_coeff_matches_series(self):
         t = tree_gf(60)
-        powers = {0: TruncatedSeries.one(60)}
+        powers = {0: _power(t, 0)}
         for a in range(1, 61):
-            powers[a] = powers[a - 1] * t
+            powers[a] = mul(powers[a - 1], t)
         for b in range(61):
             for a in range(b + 1):
-                assert lagrange_coeff(a, b) == powers[a].coeff(b)
+                assert lagrange_coeff(a, b) == powers[a][b]
 
     def test_binomial_collapse_from_forest_derivation(self):
         # sum_k C(m-1, k-1) C(3(n-m), n-m-k) telescopes to C(3n-2m-1, n-m-1)
@@ -292,11 +259,11 @@ class TestBridgesToClosedForms:
         # [x^n] T^m = sum_k C(m,k) k C(3(n-m), n-m-k) / (n-m) for m < n
         t = tree_gf(30)
         for m in range(1, 30):
-            power = t.pow(m)
+            power = _power(t, m)
             for n in range(m + 1, 31):
                 total = 0
                 for k in range(m + 1):
                     term = k * binomial(3 * (n - m), n - m - k)
                     assert term % (n - m) == 0
                     total += binomial(m, k) * (term // (n - m))
-                assert total == power.coeff(n)
+                assert total == power[n]
