@@ -27,7 +27,7 @@ from .formulas import (
     kreweras_count,
     lagrange_coeff,
     rooted_forest_count,
-    rooted_forest_paper_sum,
+    rooted_forest_paper_rows,
     tree_count,
     tree_counts,
     type_sum_forest_count,

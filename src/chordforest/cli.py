@@ -199,9 +199,8 @@ def _kreweras(max_n: int) -> Iterator[tuple]:
 
 def _rooted_forms(max_n: int) -> Iterator[tuple]:
     """r(n, m) by the Lagrange-Buermann form against the paper's double sum."""
-    for n in range(1, max_n + 1):
-        for m in range(1, n + 1):
-            paper = formulas.rooted_forest_paper_sum(n, m)
+    for n, row in enumerate(formulas.rooted_forest_paper_rows(max_n), start=1):
+        for m, paper in enumerate(row, start=1):
             yield f"r(n={n}, m={m})", formulas.rooted_forest_count(n, m), paper
 
 

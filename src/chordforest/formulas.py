@@ -11,6 +11,7 @@ bad input raises ``ValueError``.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Sequence
 
@@ -25,7 +26,7 @@ __all__ = [
     "kreweras_count",
     "lagrange_coeff",
     "rooted_forest_count",
-    "rooted_forest_paper_sum",
+    "rooted_forest_paper_rows",
     "tree_count",
     "tree_counts",
     "type_sum_forest_count",
@@ -186,7 +187,7 @@ def rooted_forest_count(n: int, m: int) -> int:
 
     u has integer coefficients, so each step of this recurrence, and of
     C(a, j) = C(a, j-1) (a-j+1) / j, is an exact division.  The paper's
-    double sum, :func:`rooted_forest_paper_sum`, is the independent check.
+    double sum, :func:`rooted_forest_paper_rows`, is the independent check.
     """
     if m < 1 or m > n:
         raise ValueError(
@@ -211,12 +212,13 @@ def rooted_forest_count(n: int, m: int) -> int:
     return value
 
 
-def rooted_forest_paper_sum(n: int, m: int) -> int:
-    """r(n, m) by the paper's double alternating sum; the check on :func:`rooted_forest_count`.
+def rooted_forest_paper_rows(max_n: int) -> list[list[int]]:
+    """[r(n, 1), ..., r(n, n)] for n = 1..max_n by the paper's double alternating sum.
 
-    Rooting weights an i-chord tree by a factor i, which turns the tree
-    series T into R = x T' = x (2x - T) / (x - 3 T^2).  Expanding the closed
-    form binomially and extracting coefficients yields
+    This is the independent check on :func:`rooted_forest_count`.  Rooting
+    weights an i-chord tree by a factor i, which turns the tree series T into
+    R = x T' = x (2x - T) / (x - 3 T^2).  Expanding the closed form
+    binomially and extracting coefficients yields
 
         r(n, m) = C(2n, m-1) (S1 + S2) / m
 
@@ -229,27 +231,47 @@ def rooted_forest_paper_sum(n: int, m: int) -> int:
     where S1 is empty for m = n.  S1 runs j on the outside, so its k-free
     factor C(m+j-1,j) 3^j is computed once per j.  S2 is summed by the
     binomial theorem: its k-sum is (2-1)^m = 1, so S2 = C(n-1,n-m) 3^(n-m).
-    It makes O(m (n-m)) :func:`lagrange_coeff` calls per cell, so a table of
-    it grows as N^4.
+
+    Every coefficient [x^b] T^a of S1 lies on a diagonal d = b - a = n-m-j
+    with 1 <= d < max_n, at a = 2j+k < 2(max_n - d), and for a fixed j the
+    k-sum runs along one diagonal.  So the rows take about max_n^2
+    :func:`lagrange_coeff` calls, one per table entry, and about max_n^4/24
+    products, which ``sum(map(mul, ...))`` runs in C.  The k-factors
+    (-1)^k C(m,k) 2^(m-k) are likewise computed once per m.
     """
-    if m < 1 or m > n:
+    if max_n < 1:
         raise ValueError(
-            f"rooted_forest_paper_sum requires 1 <= m <= n, got n={n}, m={m}"
+            f"rooted_forest_paper_rows requires max_n >= 1, got max_n={max_n}"
         )
-    signed = [(-1) ** k * binomial(m, k) * 2 ** (m - k) for k in range(m + 1)]
-    sum1 = 0
-    for j in range(n - m):
-        inner = sum(
-            common * lagrange_coeff(2 * j + k, n - m + j + k)
-            for k, common in enumerate(signed)
-        )
-        sum1 += binomial(m + j - 1, j) * 3**j * inner
-    # sum_k (-1)^k C(m,k) 2^(m-k) = (2-1)^m = 1 by the binomial theorem
-    sum2 = binomial(n - 1, n - m) * 3 ** (n - m)
-    value = _exact_div(binomial(2 * n, m - 1) * (sum1 + sum2), m)
-    if value < 0:
-        raise ConsistencyError(f"rooted_forest_paper_sum({n}, {m}) evaluated to {value} < 0")
-    return value
+    # diagonals[d][a] = [x^(a+d)] T^a; diagonals[0] is never read
+    diagonals = [[]] + [
+        [lagrange_coeff(a, a + d) for a in range(2 * (max_n - d))]
+        for d in range(1, max_n)
+    ]
+    # signs[m][k] = (-1)^k C(m,k) 2^(m-k), S1's k-factor; signs[0] is never read
+    signs = [
+        [(-1) ** k * binomial(m, k) * 2 ** (m - k) for k in range(m + 1)]
+        for m in range(max_n + 1)
+    ]
+    rows = []
+    for n in range(1, max_n + 1):
+        row = []
+        for m in range(1, n + 1):
+            sum1 = 0
+            for j in range(n - m):
+                diagonal = diagonals[n - m - j][2 * j : 2 * j + m + 1]
+                inner = sum(map(operator.mul, signs[m], diagonal))
+                sum1 += binomial(m + j - 1, j) * 3**j * inner
+            # sum_k (-1)^k C(m,k) 2^(m-k) = (2-1)^m = 1 by the binomial theorem
+            sum2 = binomial(n - 1, n - m) * 3 ** (n - m)
+            value = _exact_div(binomial(2 * n, m - 1) * (sum1 + sum2), m)
+            if value < 0:
+                raise ConsistencyError(
+                    f"rooted_forest_paper_rows({max_n}): r({n}, {m}) evaluated to {value} < 0"
+                )
+            row.append(value)
+        rows.append(row)
+    return rows
 
 
 def kreweras_count(sizes: Sequence[int]) -> int:

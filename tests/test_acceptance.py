@@ -17,7 +17,7 @@ from chordforest.formulas import (
     forest_count,
     kreweras_count,
     rooted_forest_count,
-    rooted_forest_paper_sum,
+    rooted_forest_paper_rows,
     tree_count,
     type_sum_forest_count,
 )
@@ -65,14 +65,14 @@ def test_criterion_1_forest_counts_match_bruteforce(sweep_tables):
 
 def test_criterion_2_rooted_counts_match_bruteforce(sweep_tables):
     failures = []
+    paper_rows = rooted_forest_paper_rows(BRUTE_MAX)
     for n in range(1, BRUTE_MAX + 1):
         for m in range(1, n + 1):
             expected = sweep_tables[n].rooted_by_trees.get(m, 0)
-            for label, form in (
-                ("lagrange-burmann", rooted_forest_count),
-                ("paper-sum", rooted_forest_paper_sum),
+            for label, got in (
+                ("lagrange-burmann", rooted_forest_count(n, m)),
+                ("paper-sum", paper_rows[n - 1][m - 1]),
             ):
-                got = form(n, m)
                 if got != expected:
                     failures.append(f"r({n},{m}): {label}={got} bruteforce={expected}")
     _report(

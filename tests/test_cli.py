@@ -435,12 +435,14 @@ class TestVerify:
         assert "formula=7" in out and "series=6" in out
 
     def test_rooted_forms_disagreeing_is_a_counterexample(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.rooted_forest_paper_sum
+        genuine = chordforest.formulas.rooted_forest_paper_rows
 
-        def corrupted(n, m):
-            return genuine(n, m) + ((n, m) == (4, 2))
+        def corrupted(max_n):
+            rows = genuine(max_n)
+            rows[3][1] += 1  # r(4, 2)
+            return rows
 
-        monkeypatch.setattr(chordforest.formulas, "rooted_forest_paper_sum", corrupted)
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_paper_rows", corrupted)
         code, out, _ = _run(capsys, "verify", "--max-n-formula", "6", "--max-n-brute", "2")
         assert code == EXIT_MISMATCH
         assert "check rooted-paper-sum-vs-lagrange-burmann (n<=6): FAIL" in out

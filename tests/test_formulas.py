@@ -25,7 +25,7 @@ from chordforest.formulas import (
     kreweras_count,
     lagrange_coeff,
     rooted_forest_count,
-    rooted_forest_paper_sum,
+    rooted_forest_paper_rows,
     tree_count,
     tree_counts,
     type_sum_forest_count,
@@ -217,7 +217,7 @@ class TestRowKernelSteps:
 
 def _literal_paper_sum(n, m):
     """The paper's double sum term by term, S2's k-sum included: the oracle
-    for the factored evaluation in rooted_forest_paper_sum."""
+    for the factored evaluation in rooted_forest_paper_rows."""
     sum1 = 0
     sum2 = 0
     for k in range(m + 1):
@@ -265,20 +265,28 @@ class TestRootedForestCount:
         for n in range(1, 61):
             assert rooted_forest_count(n, n) == catalan(n)
 
-    def test_lagrange_burmann_equals_paper_sum_to_sixty(self):
-        for n in range(1, 61):
-            for m in range(1, n + 1):
-                assert rooted_forest_count(n, m) == rooted_forest_paper_sum(n, m)
+    def test_lagrange_burmann_equals_paper_sum_to_hundred(self):
+        rows = rooted_forest_paper_rows(100)
+        assert [len(row) for row in rows] == list(range(1, 101))
+        for n, row in enumerate(rows, start=1):
+            assert row == [rooted_forest_count(n, m) for m in range(1, n + 1)]
 
     def test_paper_sum_equals_literal_double_sum(self):
-        for n in range(1, 21):
-            for m in range(1, n + 1):
-                assert rooted_forest_paper_sum(n, m) == _literal_paper_sum(n, m)
+        rows = rooted_forest_paper_rows(20)
+        for n, row in enumerate(rows, start=1):
+            assert row == [_literal_paper_sum(n, m) for m in range(1, n + 1)]
+
+    def test_paper_sum_last_row_uses_the_whole_table(self):
+        # The last row reads each diagonal of the coefficient table to its end;
+        # a table one entry short would drop terms there and nowhere else.
+        for max_n in range(1, 13):
+            last = rooted_forest_paper_rows(max_n)[-1]
+            assert last == [_literal_paper_sum(max_n, m) for m in range(1, max_n + 1)]
 
     def test_paper_sum_domain_errors(self):
-        for n, m in ((3, 0), (3, 4), (0, 1)):
+        for max_n in (0, -1):
             with pytest.raises(ValueError):
-                rooted_forest_paper_sum(n, m)
+                rooted_forest_paper_rows(max_n)
 
 
 class TestLagrangeCoeff:
