@@ -224,10 +224,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("verification bounds must be >= 1")
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    if args.max_n_brute > oracle.DIAGRAM_CAP:
+    if args.max_n_brute > oracle.SCAN_CAP:
         raise ValueError(
             f"--max-n-brute {args.max_n_brute} exceeds the enumeration cap "
-            f"of {oracle.DIAGRAM_CAP}"
+            f"of {oracle.SCAN_CAP}"
         )
     # (check, its cases, their left and right names); each generator runs
     # only when its check's turn comes.

@@ -8,11 +8,12 @@ canonical order and cuts a branch at its first cycle (:func:`iter_forests`)
 lists the forest diagrams themselves.  The deliberately dumb sweep over all
 (2n-1)!! pairings (:func:`enumerate_diagrams`, with
 :func:`~.diagrams.classify_chords` on each one) is kept as the test oracle
-of both.  Set partitions of [N] are generated with each branch cut at its
-first block crossing, and forest types are the partitions of n into m
-parts.  Enumeration order is deterministic, and sizes are guarded by caps so
-a typo'd n fails fast instead of running for hours; pass a larger ``cap``
-explicitly to go above a default.
+of both.  The non-crossing partitions of [N] come from a stack sweep that
+visits only them (:func:`enumerate_noncrossing_partitions`), and forest
+types are the partitions of n into m parts.  Enumeration order is
+deterministic, and sizes are guarded by caps so a typo'd n fails fast
+instead of running for hours; pass a larger ``cap`` explicitly to go above a
+default.
 """
 
 from __future__ import annotations
@@ -21,15 +22,17 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .diagrams import Chord, blocks_cross, classify_chords
+from .diagrams import Chord, classify_chords
 from .errors import EnumerationCapError
 
-DIAGRAM_CAP = 8
-PARTITION_CAP = 10
+DIAGRAM_CAP = 8  # the sweeps that visit every diagram or forest
+SCAN_CAP = 12  # the transfer-matrix scan
+PARTITION_CAP = 12
 
 __all__ = [
     "DIAGRAM_CAP",
     "PARTITION_CAP",
+    "SCAN_CAP",
     "CountTable",
     "brute_force_counts",
     "enumerate_diagrams",
@@ -198,7 +201,7 @@ def _carry(layer: ScanLayer, state, tallies: dict[int, list[int]]) -> None:
         entry[1] += weight
 
 
-def brute_force_counts(n: int, cap: int = DIAGRAM_CAP) -> CountTable:
+def brute_force_counts(n: int, cap: int = SCAN_CAP) -> CountTable:
     """Tally the forest diagrams of size n, and rooted forests, by m.
 
     A transfer-matrix scan over the 2n points, one layer per point: each
@@ -268,33 +271,41 @@ def enumerate_noncrossing_partitions(
 ) -> dict[tuple[int, ...], int]:
     """Tally the non-crossing partitions of [ground_size] by block-size type.
 
-    A type is the tuple of block sizes in descending order.  Set partitions
-    are generated in restricted-growth order and tested with the literal
-    block-crossing test, a branch cut as soon as it has a crossing: a new
-    singleton crosses nothing, and a block that grows never loses a
-    crossing, so only the block just grown needs the test.
+    A type is the tuple of block sizes in descending order.  The sweep keeps
+    a stack of the blocks that can still grow, oldest at the bottom.  Each
+    element either joins the block at some depth of the stack or opens a
+    new block on top, and joining a block pops every block above it.
+
+    Every block above a block B was opened after B's last element, so when
+    B takes the element e, those blocks lie wholly between B's last element
+    and e: any later element added to one of them would cross B.  So the
+    stack holds exactly the blocks that e can join without a crossing, and
+    a popped block never grows again.  The joins are tried from the bottom
+    of the stack to the top and then the new block, which is the
+    restricted-growth order of all set partitions with every crossing one
+    skipped: each non-crossing partition is visited once, and the tallies
+    come out in that order.
     """
     if ground_size < 1:
         raise ValueError(f"ground_size must be >= 1, got {ground_size}")
     _check_cap(ground_size, cap, "set-partition sweep")
     tallies: dict[tuple[int, ...], int] = {}
-    blocks: list[list[int]] = []
+    sizes: list[int] = []  # every block's size, oldest first
 
-    def place(element: int) -> None:
+    def place(element: int, stack: tuple[int, ...]) -> None:
         if element > ground_size:
-            key = tuple(sorted(map(len, blocks), reverse=True))
+            key = tuple(sorted(sizes, reverse=True))
             tallies[key] = tallies.get(key, 0) + 1
             return
-        for block in blocks:
-            block.append(element)
-            if not any(blocks_cross(block, b) for b in blocks if b is not block):
-                place(element + 1)
-            block.pop()
-        blocks.append([element])
-        place(element + 1)
-        blocks.pop()
+        for depth, block in enumerate(stack, start=1):
+            sizes[block] += 1
+            place(element + 1, stack[:depth])
+            sizes[block] -= 1
+        sizes.append(1)
+        place(element + 1, stack + (len(sizes) - 1,))
+        sizes.pop()
 
-    place(1)
+    place(1, ())
     return tallies
 
 

@@ -28,7 +28,7 @@ DATA_DIR = Path(__file__).parent / "data"
 
 BRUTE_MAX = 10
 SERIES_MAX = 60
-KREWERAS_MAX = 9
+KREWERAS_MAX = 12
 TYPE_SUM_MAX = 12
 IDENTITY_ORDER = 40
 FORMULA_MAX = 200
@@ -155,7 +155,7 @@ def test_criterion_6_kreweras_matches_enumeration():
                 failures.append(
                     f"[{n}] type {block_type}: formula={expected} seen={seen}"
                 )
-    _report(6, "block-type formula vs enumeration, N<=9", failures)
+    _report(6, f"block-type formula vs enumeration, N<={KREWERAS_MAX}", failures)
 
 
 def test_criterion_7_type_sum_matches_closed_form():

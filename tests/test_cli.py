@@ -599,7 +599,7 @@ class TestVerify:
         assert err == "error: --threads must be >= 1, got 0\n"
 
     def test_brute_bound_above_cap_is_usage_error(self, capsys):
-        code, _, err = _run(capsys, "verify", "--max-n-brute", "9")
+        code, _, err = _run(capsys, "verify", "--max-n-brute", "13")
         assert code == EXIT_USAGE
         assert "cap" in err
 

@@ -182,7 +182,7 @@ class TestBruteForceCounts:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
-            brute_force_counts(9)
+            brute_force_counts(13)
 
 
 class TestIterForests:
@@ -267,11 +267,11 @@ class TestEnumerateNoncrossingPartitions:
         assert sum(tallies.values()) == 14
 
     def test_totals_are_catalan(self):
-        for n in range(1, 9):
+        for n in range(1, 13):
             assert sum(enumerate_noncrossing_partitions(n).values()) == catalan(n)
 
     def test_matches_kreweras_formula(self):
-        for n in range(1, 8):
+        for n in range(1, 13):
             for block_type, count in enumerate_noncrossing_partitions(n).items():
                 assert count == kreweras_count(block_type)
 
@@ -288,7 +288,7 @@ class TestEnumerateNoncrossingPartitions:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
-            enumerate_noncrossing_partitions(11)
+            enumerate_noncrossing_partitions(13)
         with pytest.raises(ValueError):
             enumerate_noncrossing_partitions(0)
 
