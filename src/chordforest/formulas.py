@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import ConsistencyError
 
@@ -289,26 +289,21 @@ def kreweras_count(sizes: Sequence[int]) -> int:
     return _exact_div(math.perm(sum(sizes), len(sizes) - 1), denominator)
 
 
-def type_sum_forest_count(n: int, m: int) -> int:
-    """Forest count recomputed as a sum over forest types.
+def type_sum_forest_count(types: Iterable[Sequence[int]]) -> int:
+    """Number of forest diagrams whose type is one of ``types``.
 
-    A forest whose type has s_i trees of i chords occupies a non-crossing
-    partition of [2n] with s_i blocks of size 2i, and a block of size 2i can
-    hold any of the tree_count(i) tree diagrams.  Summing the partition count
-    times the tree choices over all types with sum s_i = m and sum i s_i = n
-    recounts f(n, m); the closed form in :func:`forest_count` must agree.
-    The partition count is :func:`kreweras_count` of the doubled type, the
-    function that the kreweras-vs-enumeration check compares with the oracle.
+    A type is the multiset of the forest's tree sizes.  A forest of type
+    (l_1, ..., l_m) occupies a non-crossing partition of [2n] with blocks of
+    sizes 2 l_1, ..., 2 l_m, and a block of size 2i can hold any of the
+    tree_count(i) tree diagrams.  So each type contributes the partition
+    count, :func:`kreweras_count` of the doubled type (the function that the
+    kreweras-vs-enumeration check compares with the oracle), times
+    prod tree_count(l_i).  Over every partition of n into m parts the sum
+    recounts f(n, m), which the closed form in :func:`forest_count` must
+    match.  An empty ``types`` gives 0.
     """
-    if m < 1 or m > n:
-        raise ValueError(
-            f"type_sum_forest_count requires 1 <= m <= n, got n={n}, m={m}"
-        )
-    from .oracle import enumerate_types  # per call, so a rebinding (a tracer's) holds
-
-    trees = tree_counts(n - m + 1)  # no tree of a type has more chords
-    total = 0
-    for sizes in enumerate_types(n, m):
-        choices = math.prod(trees[size - 1] for size in sizes)
-        total += kreweras_count(tuple(2 * size for size in sizes)) * choices
-    return total
+    return sum(
+        kreweras_count(tuple(2 * size for size in sizes))
+        * math.prod(map(tree_count, sizes))
+        for sizes in types
+    )

@@ -21,7 +21,11 @@ from chordforest.formulas import (
     tree_count,
     type_sum_forest_count,
 )
-from chordforest.oracle import brute_force_counts, enumerate_noncrossing_partitions
+from chordforest.oracle import (
+    brute_force_counts,
+    enumerate_noncrossing_partitions,
+    enumerate_types,
+)
 from chordforest.series import mul, rooted_gf, solve_ternary_gf, tree_gf
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -162,7 +166,7 @@ def test_criterion_7_type_sum_matches_closed_form():
     failures = []
     for n in range(1, TYPE_SUM_MAX + 1):
         for m in range(1, n + 1):
-            via_types = type_sum_forest_count(n, m)
+            via_types = type_sum_forest_count(enumerate_types(n, m))
             closed = forest_count(n, m)
             if via_types != closed:
                 failures.append(f"f({n},{m}): type sum {via_types} != {closed}")

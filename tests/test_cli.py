@@ -358,11 +358,6 @@ class TestEnumerate:
             1518028,
         )
 
-    def test_threads_do_not_change_output(self, capsys):
-        _, single, _ = _run(capsys, "enumerate", "--n", "4")
-        _, threaded, _ = _run(capsys, "enumerate", "--n", "4", "--threads", "3")
-        assert single == threaded
-
     def test_above_cap_without_force(self, capsys):
         code, _, err = _run(capsys, "enumerate", "--n", "9")
         assert code == EXIT_USAGE
@@ -380,15 +375,11 @@ class TestEnumerate:
             "error: --n 9 exceeds the enumeration cap of 8; pass --force to override\n"
         )
 
-    def test_zero_threads_is_usage_error_before_any_sweep(self, capsys, monkeypatch):
-        def sweep(*args, **kwargs):
-            raise AssertionError("the sweep must not start")
-
-        monkeypatch.setattr(chordforest.oracle, "brute_force_counts", sweep)
-        code, out, err = _run(capsys, "enumerate", "--n", "3", "--threads", "0")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err == "error: --threads must be >= 1, got 0\n"
+    def test_threads_is_no_longer_an_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["enumerate", "--n", "3", "--threads", "2"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_force_allows_small_n_anyway(self, capsys):
         code, _, _ = _run(capsys, "enumerate", "--n", "3", "--force")
@@ -530,8 +521,10 @@ class TestVerify:
     def test_type_sum_counterexample(self, capsys, monkeypatch):
         genuine = chordforest.formulas.type_sum_forest_count
 
-        def corrupted(n, m):
-            return genuine(n, m) - ((n, m) == (5, 3))
+        def corrupted(types):
+            types = list(types)
+            # the partitions of 5 into 3 parts, in enumerate_types order
+            return genuine(types) - (types == [(3, 1, 1), (2, 2, 1)])
 
         monkeypatch.setattr(chordforest.formulas, "type_sum_forest_count", corrupted)
         self._failure(

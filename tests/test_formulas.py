@@ -355,25 +355,32 @@ def _inline_type_sum(n, m):
 
 class TestTypeSumForestCount:
     def test_spot_values(self):
-        assert type_sum_forest_count(3, 2) == 6
-        assert type_sum_forest_count(4, 4) == 14
-        assert type_sum_forest_count(4, 2) == 28
+        assert type_sum_forest_count(enumerate_types(3, 2)) == 6
+        assert type_sum_forest_count(enumerate_types(4, 4)) == 14
+        assert type_sum_forest_count(enumerate_types(4, 2)) == 28
+        # one type alone: Kreweras (4, 2) = 6 partitions, t(2) = 1 tree in the big block
+        assert type_sum_forest_count([(2, 1)]) == 6
+        # (3,): one block holding any of t(3) = 3 trees; the order of a
+        # type's sizes does not matter, and each listed type is counted
+        assert type_sum_forest_count([(3,), (2, 1), (1, 2)]) == 3 + 6 + 6
+        assert type_sum_forest_count([]) == 0
 
     def test_matches_closed_form(self):
         for n in range(1, 11):
             for m in range(1, n + 1):
-                assert type_sum_forest_count(n, m) == forest_count(n, m)
+                assert type_sum_forest_count(enumerate_types(n, m)) == forest_count(n, m)
 
     def test_equals_inline_kreweras_sum(self):
         for n in range(1, 13):
             for m in range(1, n + 1):
-                assert type_sum_forest_count(n, m) == _inline_type_sum(n, m)
+                via_types = type_sum_forest_count(enumerate_types(n, m))
+                assert via_types == _inline_type_sum(n, m)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            type_sum_forest_count(3, 0)
-        with pytest.raises(ValueError):
-            type_sum_forest_count(3, 4)
+        # a part below 1 is rejected by kreweras_count before any tree is counted
+        for types in ([()], [(0,)], [(2, -1)], [(1,), (3, 0)]):
+            with pytest.raises(ValueError):
+                type_sum_forest_count(types)
 
 
 def test_forest_totals_bounded_by_all_pairings():

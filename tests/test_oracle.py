@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -23,6 +24,7 @@ from chordforest.formulas import (
     kreweras_count,
     rooted_forest_count,
     tree_count,
+    type_sum_forest_count,
 )
 from chordforest.oracle import (
     _iter_pairings,
@@ -211,6 +213,21 @@ class TestIterForests:
         with pytest.raises(ValueError):
             iter_forests(0)
         assert len(list(iter_forests(3, cap=3))) == 14
+
+
+class TestForestsByType:
+    """Each forest type on its own, so that a wrong per-type term cannot hide
+    inside a correct sum over the types with m trees."""
+
+    def test_every_type_appears_with_its_type_sum_count(self):
+        for n in range(1, 8):
+            tally = Counter(
+                tuple(sorted(sizes, reverse=True)) for _, sizes in iter_forests(n)
+            )
+            types = [t for m in range(1, n + 1) for t in enumerate_types(n, m)]
+            assert sorted(tally) == sorted(types)
+            for forest_type in types:
+                assert tally[forest_type] == type_sum_forest_count([forest_type])
 
 
 def _bell(n):

@@ -2,10 +2,9 @@
 
 Closed forms (``formulas``), the series engine (``series``) and the
 brute-force oracle (``oracle``, over ``diagrams``) each import only the
-shared exception types, with one exception: ``formulas`` takes the list of
-forest types (the partitions of n into m parts) from ``oracle.enumerate_types``.
-Every relative import is collected, at any depth of the module, so an
-import inside a function counts too.
+shared exception types; no route imports another, and only ``cli`` joins
+them.  Every relative import is collected, at any depth of the module, so
+an import inside a function counts too.
 """
 
 import ast
@@ -22,15 +21,14 @@ ALLOWED = {
     "diagrams": set(),
     "series": {"errors"},
     "oracle": {"diagrams", "errors"},
-    "formulas": {"errors", "oracle"},
+    "formulas": {"errors"},
 }
 
 
-def _package_imports(module):
+def _relative_imports(source):
     """{imported package module: names taken from it} for every relative import."""
     found = {}
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ImportFrom) or not node.level:
             continue
         if node.module:
@@ -43,10 +41,21 @@ def _package_imports(module):
 
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_only_allowed_package_modules(module):
-    assert set(_package_imports(module)) <= ALLOWED[module]
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert set(_relative_imports(source)) <= ALLOWED[module]
 
 
-def test_formulas_takes_only_the_type_list_from_the_oracle():
-    # imported inside type_sum_forest_count, so this also shows that the
-    # collector reaches into function bodies
-    assert _package_imports("formulas")["oracle"] == {"enumerate_types"}
+def test_collector_reaches_into_function_bodies():
+    source = (
+        "from .errors import ConsistencyError\n"
+        "import math\n"
+        "def count(n):\n"
+        "    from .oracle import enumerate_types\n"
+        "    from . import series\n"
+        "    return n\n"
+    )
+    assert _relative_imports(source) == {
+        "errors": {"ConsistencyError"},
+        "oracle": {"enumerate_types"},
+        "series": set(),
+    }
