@@ -28,6 +28,7 @@ from .formulas import (
     lagrange_coeff,
     rooted_forest_count,
     rooted_forest_paper_rows,
+    rooted_forest_rows,
     tree_count,
     tree_counts,
     type_sum_forest_count,

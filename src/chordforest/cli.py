@@ -16,6 +16,8 @@ of digits.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import os
 import sys
@@ -34,6 +36,7 @@ KREWERAS_VERIFY_MAX = 9
 TYPE_SUM_VERIFY_MAX = 12
 IDENTITY_ORDER = 40
 SERIES_ORDER_CAP = 600
+LIST_CHUNK_LINES = 1024  # enumerate --list lines per stdout write
 # verify --threads selects nothing.  perfbench's verify command line passes
 # --threads 1, so the flag goes when that command line drops it.
 THREADS_HELP = "kept for compatibility; has no effect (must be >= 1)"
@@ -66,13 +69,15 @@ def _table_records(kind: str, max_n: int):
         for n, value in enumerate(formulas.tree_counts(max_n), start=1):
             yield kind, n, None, value
         return
+    if kind == "r":
+        for n, row in enumerate(formulas.rooted_forest_rows(max_n), start=1):
+            for m, value in enumerate(row, start=1):
+                yield kind, n, m, value
+        return
     for n in range(1, max_n + 1):
         if kind == "f":
             for m, value in enumerate(formulas.forest_row(n), start=1):
                 yield kind, n, m, value
-        elif kind == "r":
-            for m in range(1, n + 1):
-                yield kind, n, m, formulas.rooted_forest_count(n, m)
         else:
             yield kind, n, None, formulas.catalan(n)
 
@@ -137,11 +142,25 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"rooted={table.rooted_by_trees[m]}"
         )
     if args.list:
-        for chords, sizes in oracle.iter_forests(args.n, cap=cap):
-            print(
-                f"{diagrams.format_chords(chords)} "
-                f"m={len(sizes)} sizes={','.join(map(str, sizes))}"
-            )
+        # Each chord's text and each size tuple's text is made once, not per line.
+        text = {
+            (a, b): diagrams.format_chords(((a, b),))
+            for a in range(1, 2 * args.n)
+            for b in range(a + 1, 2 * args.n + 1)
+        }
+
+        @functools.cache
+        def trees(sizes: tuple[int, ...]) -> str:
+            return f"m={len(sizes)} sizes={','.join(map(str, sizes))}"
+
+        lines = (
+            f"{','.join(map(text.__getitem__, chords))} {trees(sizes)}\n"
+            for chords, sizes in oracle.iter_forests(args.n, cap=cap)
+        )
+        # written a chunk at a time: few write calls, and never the whole listing
+        write = sys.stdout.write
+        while chunk := "".join(itertools.islice(lines, LIST_CHUNK_LINES)):
+            write(chunk)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ConsistencyError
 
@@ -27,6 +27,7 @@ __all__ = [
     "lagrange_coeff",
     "rooted_forest_count",
     "rooted_forest_paper_rows",
+    "rooted_forest_rows",
     "tree_count",
     "tree_counts",
     "type_sum_forest_count",
@@ -193,13 +194,23 @@ def rooted_forest_count(n: int, m: int) -> int:
         raise ValueError(
             f"rooted_forest_count requires 1 <= m <= n, got n={n}, m={m}"
         )
-    depth = n - m
-    top = 3 * n - 1 - 2 * m
     u = [1]
-    previous = 0
-    for k in range(depth):
+    _extend_u(u, m, n - m)
+    return _rooted_from_u(n, m, u)
+
+
+def _extend_u(u: list[int], m: int, steps: int) -> None:
+    """Append the next ``steps`` coefficients of u(w) = (1-w)^m (1-2w)^(1-m) to ``u``."""
+    start = len(u) - 1
+    previous = u[start - 1] if start else 0
+    for k in range(start, start + steps):
         u.append(_exact_div((3 * k + m - 2) * u[k] - (2 * k - 4) * previous, k + 1))
         previous = u[k]
+
+
+def _rooted_from_u(n: int, m: int, u: list[int]) -> int:
+    """r(n, m) from [w^0..w^(n-m)] u: see :func:`rooted_forest_count`."""
+    top = 3 * n - 1 - 2 * m
     total = 0
     choose = 1  # C(top, j)
     for j, coefficient in enumerate(reversed(u)):
@@ -208,8 +219,32 @@ def rooted_forest_count(n: int, m: int) -> int:
         total += coefficient * choose
     value = _exact_div(binomial(2 * n, m - 1) * total, m)
     if value < 0:
-        raise ConsistencyError(f"rooted_forest_count({n}, {m}) evaluated to {value} < 0")
+        raise ConsistencyError(f"r({n}, {m}) evaluated to {value} < 0")
     return value
+
+
+def rooted_forest_rows(max_n: int) -> Iterator[list[int]]:
+    """[r(n, 1), ..., r(n, n)] for n = 1..max_n, one row at a time.
+
+    The series u of :func:`rooted_forest_count` depends on m only, so one
+    coefficient list per m is kept, and each row extends every list by one
+    coefficient of the same recurrence.  The last row is checked against
+    :func:`rooted_forest_count` cell by cell, so a chain that misses or
+    repeats a step cannot pass unseen.
+    """
+    if max_n < 1:
+        raise ValueError(f"rooted_forest_rows requires max_n >= 1, got max_n={max_n}")
+    chains: list[list[int]] = []  # chains[m-1] = [u_0, ..., u_(n-m)] of that m
+    for n in range(1, max_n + 1):
+        for m, u in enumerate(chains, start=1):
+            _extend_u(u, m, 1)
+        chains.append([1])
+        row = [_rooted_from_u(n, m, u) for m, u in enumerate(chains, start=1)]
+        if n == max_n and row != [rooted_forest_count(n, m) for m in range(1, n + 1)]:
+            raise ConsistencyError(
+                f"rooted_forest_rows({max_n}) ends off the cell form r({max_n}, m)"
+            )
+        yield row
 
 
 def rooted_forest_paper_rows(max_n: int) -> list[list[int]]:

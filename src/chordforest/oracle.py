@@ -5,15 +5,16 @@ here by brute force.  The per-m tallies come from a transfer-matrix scan
 over the circle's points (:func:`brute_force_counts`) that uses only the
 crossing rule and acyclicity.  A depth-first sweep that places chords in
 canonical order and cuts a branch at its first cycle (:func:`iter_forests`)
-lists the forest diagrams themselves.  The deliberately dumb sweep over all
-(2n-1)!! pairings (:func:`enumerate_diagrams`, with
-:func:`~.diagrams.classify_chords` on each one) is kept as the test oracle
-of both.  The non-crossing partitions of [N] come from a stack sweep that
-visits only them (:func:`enumerate_noncrossing_partitions`), and forest
-types are the partitions of n into m parts.  Enumeration order is
-deterministic, and sizes are guarded by caps so a typo'd n fails fast
-instead of running for hours; pass a larger ``cap`` explicitly to go above a
-default.
+lists the forest diagrams themselves: a new chord (a, b) relabels each
+component it crosses with its left end a, so meeting label a again is a
+cycle.  The deliberately dumb sweep over all (2n-1)!! pairings
+(:func:`enumerate_diagrams`, with :func:`~.diagrams.classify_chords` on
+each one) is kept as the test oracle of both.  The non-crossing partitions
+of [N] come from a stack sweep that visits only them
+(:func:`enumerate_noncrossing_partitions`), and forest types are the
+partitions of n into m parts.  Enumeration order is deterministic, and
+sizes are guarded by caps so a typo'd n fails fast instead of running for
+hours; pass a larger ``cap`` explicitly to go above a default.
 """
 
 from __future__ import annotations
@@ -136,9 +137,13 @@ def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
     canonical order: the smallest unmatched point a is paired with each
     larger unmatched point b in turn.  Every placed chord starts below a, so
     the new chord (a, b) crosses exactly the placed chords whose right end
-    lies in (a, b).  If two of those share a component, (a, b) closes a
+    lies in (a, b).  Walking b upwards, the first right end met of a
+    component relabels the whole component with a.  No component is
+    labelled a before, since labels are left ends of placed chords, so
+    meeting label a again means that (a, b) crosses one component twice: a
     cycle, and so does every (a, b') with a larger b', whose interval holds
-    the same chords and more.  The loop stops there.
+    the same chords and more.  The loop stops there.  Each crossed component
+    is relabelled once per a, not once per b, and restored after the loop.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -148,27 +153,27 @@ def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
     # placed chord, it names that chord's component.  Left ends lie below
     # every point still to match and are never looked at again.
     label = [0] * (top + 1)
-    # component label -> right ends of its chords.  A new chord (a, b) and
-    # the components it joins take the label b, restored on backtrack.
+    # component label -> right ends of its chords.  The chords (a, b) and
+    # the components they cross take the label a, restored on backtrack.
     components: dict[int, list[int]] = {}
 
     def place(a: int, chords: tuple[Chord, ...], left: int) -> ForestSweep:
         # left: the chords still to place, (a, b) included
-        crossed: list[int] = []
+        crossed: list[tuple[int, list[int]]] = []
+        merged: list[int] = []  # right ends of the crossed components
         for b in range(a + 1, top + 1):
             component = label[b]
+            if component == a:  # a component crossed twice: a cycle
+                break
             if component:
-                if component in crossed:
-                    return
-                crossed.append(component)
+                group = components.pop(component)
+                for q in group:
+                    label[q] = a
+                crossed.append((component, group))
+                merged += group
                 continue
-            joined = [components.pop(c) for c in crossed]
-            members = [b]
-            for group in joined:
-                members += group
-            for q in members:
-                label[q] = b
-            components[b] = members
+            label[b] = a
+            components[a] = merged + [b]
             placed = chords + ((a, b),)
             if left == 1:
                 yield placed, tuple(sorted(map(len, components.values())))
@@ -177,12 +182,12 @@ def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
                 while label[following]:
                     following += 1
                 yield from place(following, placed, left - 1)
-            del components[b]
+            del components[a]
             label[b] = 0
-            for c, group in zip(crossed, joined):
-                components[c] = group
-                for q in group:
-                    label[q] = c
+        for component, group in crossed:
+            components[component] = group
+            for q in group:
+                label[q] = component
 
     return place(1, (), n)
 

@@ -238,6 +238,18 @@ class TestTable:
         assert out == "kind,n,m,value\nf,1,1,1\nf,2,1,1\nf,2,2,2\n"
         assert err == "error: forest_row(3): a binomial chain missed its end value\n"
 
+    def test_rooted_rows_off_the_cells_exit_mismatch(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.rooted_forest_count
+
+        def corrupted(n, m):
+            return genuine(n, m) + ((n, m) == (3, 2))
+
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_count", corrupted)
+        code, out, err = _run(capsys, "table", "--kind", "r", "--max-n", "3")
+        assert code == EXIT_MISMATCH
+        assert out == "kind,n,m,value\nr,1,1,1\nr,2,1,2\nr,2,2,2\n"
+        assert err == "error: rooted_forest_rows(3) ends off the cell form r(3, m)\n"
+
     @pytest.mark.parametrize(
         "argv, sha256, size",
         [
@@ -353,6 +365,20 @@ class TestEnumerate:
         code, out, _ = _run(capsys, "enumerate", "--n", "7", "--list")
         assert code == EXIT_OK
         data = out.encode()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+            "98f36336a463ad5cddc6f9d5cb1754a1e8af894e66312bca27e26429b3756253",
+            1518028,
+        )
+
+    def test_listing_is_written_in_bounded_chunks(self, monkeypatch):
+        writes = []
+        stand_in = SimpleNamespace(write=writes.append, flush=lambda: None)
+        monkeypatch.setattr(sys, "stdout", stand_in)
+        assert main(["enumerate", "--n", "7", "--list"]) == EXIT_OK
+        listing = [text for text in writes if "sizes=" in text]
+        assert len(listing) > 1
+        assert max(text.count("\n") for text in listing) <= chordforest.cli.LIST_CHUNK_LINES
+        data = "".join(writes).encode()
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (
             "98f36336a463ad5cddc6f9d5cb1754a1e8af894e66312bca27e26429b3756253",
             1518028,

@@ -26,6 +26,7 @@ from chordforest.formulas import (
     lagrange_coeff,
     rooted_forest_count,
     rooted_forest_paper_rows,
+    rooted_forest_rows,
     tree_count,
     tree_counts,
     type_sum_forest_count,
@@ -270,6 +271,17 @@ class TestRootedForestCount:
         assert [len(row) for row in rows] == list(range(1, 101))
         for n, row in enumerate(rows, start=1):
             assert row == [rooted_forest_count(n, m) for m in range(1, n + 1)]
+
+    def test_rows_equal_cells_to_hundred(self):
+        rows = list(rooted_forest_rows(100))
+        assert [len(row) for row in rows] == list(range(1, 101))
+        for n, row in enumerate(rows, start=1):
+            assert row == [rooted_forest_count(n, m) for m in range(1, n + 1)]
+
+    def test_rows_domain_errors(self):
+        for max_n in (0, -1):
+            with pytest.raises(ValueError):
+                next(rooted_forest_rows(max_n))
 
     def test_paper_sum_equals_literal_double_sum(self):
         rows = rooted_forest_paper_rows(20)
