@@ -9,9 +9,7 @@ verify`` command cross-checks them.
 from .diagrams import (
     Classification,
     IntersectionGraph,
-    blocks_cross,
     classify_chords,
-    crosses,
     format_chords,
     from_pairs,
     intersection_graph,

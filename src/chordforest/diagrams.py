@@ -20,9 +20,7 @@ __all__ = [
     "Chord",
     "Classification",
     "IntersectionGraph",
-    "blocks_cross",
     "classify_chords",
-    "crosses",
     "format_chords",
     "from_pairs",
     "intersection_graph",
@@ -50,13 +48,6 @@ def from_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[Chord, ...]:
                 raise ValueError(f"point {point} occurs more than once")
             seen[point] = True
     return tuple(sorted((a, b) if a < b else (b, a) for a, b in pair_list))
-
-
-def crosses(chord1: Chord, chord2: Chord) -> bool:
-    """Whether two disjoint chords (a, b), (c, d), each ascending, cross."""
-    a, b = chord1
-    c, d = chord2
-    return a < c < b < d or c < a < d < b
 
 
 @dataclass(frozen=True)
@@ -150,24 +141,6 @@ def classify_chords(chords: Sequence[Chord]) -> Classification:
         is_forest and component_count == 1,
         tuple(sorted(sizes.values())) if is_forest else None,
     )
-
-
-def blocks_cross(block1: Sequence[int], block2: Sequence[int]) -> bool:
-    """Whether two disjoint point sets cross.
-
-    That is, whether one contains {a, c} and the other {b, d} with
-    a < b < c < d.
-    """
-    for one, other in ((block1, block2), (block2, block1)):
-        for a in one:
-            for c in one:
-                if (
-                    a < c
-                    and any(a < b < c for b in other)
-                    and any(c < d for d in other)
-                ):
-                    return True
-    return False
 
 
 def parse_diagram(text: str) -> tuple[Chord, ...]:

@@ -116,31 +116,28 @@ def forest_count(n: int, m: int) -> int:
 
 
 def forest_row(n: int) -> list[int]:
-    """[f(n, 1), ..., f(n, n)]: the binomials of :func:`forest_count` stepped along m.
+    """[f(n, 1), ..., f(n, n)], each entry from the one before by a small-integer ratio.
 
-    With a = 3n-2m-1 and b = n-m-1, the step from m to m+1 is
+        f(n, m+1) = f(n, m) (2n-m+1) (2n-m) (n-m) / (m (3n-2m-1) (3n-2m-2)),
 
-        C(2n, m) = C(2n, m-1) (2n-m+1) / m,
-        C(a-2, b-1) = C(a, b) b (a-b) / (a (a-1)),
-
-    and f(n, n) = catalan(n).  The chains must reach C(n+1, 0) = 1 at
-    m = n-1 and C(2n, n-1) = n catalan(n) at m = n, so a wrong step cannot
-    pass unseen.
+    the quotient of consecutive terms of :func:`forest_count`, from
+    f(n, 1) = t(n).  At m = n-1 the ratio is (n+2) / (n (n-1)), which is
+    catalan(n) / C(2n, n-2) = f(n, n) / f(n, n-1), so the same step reaches
+    the non-crossing end.  The last entry is checked against catalan(n), so
+    a wrong step cannot pass unseen.
     """
     if n < 1:
         raise ValueError(f"forest_row requires n >= 1, got n={n}")
-    first = 1  # C(2n, m-1)
-    second = binomial(3 * n - 3, n - 2)  # C(a, b)
-    row = []
+    row = [tree_count(n)]
     for m in range(1, n):
-        row.append(_exact_div(first * second, n - m))
-        a, b = 3 * n - 2 * m - 1, n - m - 1
-        first = _exact_div(first * (2 * n - m + 1), m)
-        if b:
-            second = _exact_div(second * (b * (a - b)), a * (a - 1))
-    row.append(catalan(n))
-    if (n > 1 and second != 1) or first != n * row[-1]:
-        raise ConsistencyError(f"forest_row({n}): a binomial chain missed its end value")
+        row.append(
+            _exact_div(
+                row[-1] * ((2 * n - m + 1) * (2 * n - m) * (n - m)),
+                m * (3 * n - 2 * m - 1) * (3 * n - 2 * m - 2),
+            )
+        )
+    if row[-1] != catalan(n):
+        raise ConsistencyError(f"forest_row({n}) ends off catalan({n})")
     return row
 
 

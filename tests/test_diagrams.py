@@ -12,15 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chordforest.diagrams import (
-    blocks_cross,
     classify_chords,
-    crosses,
     format_chords,
     from_pairs,
     intersection_graph,
     parse_diagram,
 )
 from chordforest.oracle import enumerate_diagrams
+from crossing_reference import blocks_cross
 
 FIVE_CHORD_PAIRS = [(1, 8), (2, 9), (3, 5), (7, 10), (4, 6)]
 
@@ -75,22 +74,6 @@ class TestFromPairs:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             from_pairs([])
-
-
-class TestCrosses:
-    def test_five_chord_example_pairs(self):
-        assert crosses((1, 8), (7, 10))
-        assert not crosses((3, 5), (1, 8))  # nested
-        assert not crosses((1, 2), (3, 4))  # disjoint arcs
-
-    def test_simplest_crossing(self):
-        assert crosses((1, 3), (2, 4))
-
-    def test_symmetric_on_all_small_diagrams(self):
-        for n in range(1, 7):
-            for diagram in _all_diagrams(n):
-                for c1, c2 in itertools.combinations(diagram, 2):
-                    assert crosses(c1, c2) == crosses(c2, c1)
 
 
 class TestIntersectionGraph:

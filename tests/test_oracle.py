@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from chordforest.diagrams import blocks_cross, classify_chords
+from chordforest.diagrams import classify_chords
 from chordforest.errors import EnumerationCapError
 from chordforest.formulas import (
     catalan,
@@ -35,6 +35,7 @@ from chordforest.oracle import (
     enumerate_types,
     iter_forests,
 )
+from crossing_reference import blocks_cross
 
 
 @functools.cache
