@@ -11,7 +11,6 @@ bad input raises ``ValueError``.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -260,49 +259,46 @@ def rooted_forest_paper_rows(max_n: int) -> list[list[int]]:
                  (-1)^k C(m,k) C(m+j-1,j) 2^(m-k) 3^j [x^(n-m+j+k)] T^(2j+k),
         S2 = sum_{k=0..m} (-1)^k C(m,k) C(n-1,n-m) 2^(m-k) 3^(n-m),
 
-    where S1 is empty for m = n.  S1 runs j on the outside, so its k-free
-    factor C(m+j-1,j) 3^j is computed once per j.  S2 is summed by the
-    binomial theorem: its k-sum is (2-1)^m = 1, so S2 = C(n-1,n-m) 3^(n-m).
+    where S1 is empty for m = n.  S2's k-sum is (2-1)^m = 1 by the binomial
+    theorem, so S2 = C(n-1,n-m) 3^(n-m).  In S1, [x^(n-m+j+k)] T^(2j+k) is
+    entry 2j+k of diagonal d = n-m-j of the table I_0[d][o] = [x^(o+d)] T^o,
+    and the k-factor is the coefficient list of (2-y)^m.  So the k-sum is an
+    m-th finite difference, which Pascal's rule builds one step per m:
 
-    Every coefficient [x^b] T^a of S1 lies on a diagonal d = b - a = n-m-j
-    with 1 <= d < max_n, at a = 2j+k < 2(max_n - d), and for a fixed j the
-    k-sum runs along one diagonal.  So the rows take about max_n^2
-    :func:`lagrange_coeff` calls, one per table entry, and about max_n^4/24
-    products, which ``sum(map(mul, ...))`` runs in C.  The k-factors
-    (-1)^k C(m,k) 2^(m-k) are likewise computed once per m.
+        I_m[d][o] = 2 I_(m-1)[d][o] - I_(m-1)[d][o+1],
+        S1 = sum_{j=0..n-m-1} C(m+j-1,j) 3^j I_m[n-m-j][2j].
+
+    I_0[d] has 2(max_n-d) entries and each step drops one, so I_m[d] keeps
+    2(max_n-d) - m, past the index 2(n-m-d) <= 2(max_n-d) - 2m that S1 reads.
+    The rows take about max_n^2 :func:`lagrange_coeff` calls, one per table
+    entry, and about max_n^3 big-int subtractions.
     """
     if max_n < 1:
         raise ValueError(
             f"rooted_forest_paper_rows requires max_n >= 1, got max_n={max_n}"
         )
-    # diagonals[d][a] = [x^(a+d)] T^a; diagonals[0] is never read
+    # diagonals[d] = I_m[d] from I_0[d][o] = [x^(o+d)] T^o; diagonals[0] is never read
     diagonals = [[]] + [
         [lagrange_coeff(a, a + d) for a in range(2 * (max_n - d))]
         for d in range(1, max_n)
     ]
-    # signs[m][k] = (-1)^k C(m,k) 2^(m-k), S1's k-factor; signs[0] is never read
-    signs = [
-        [(-1) ** k * binomial(m, k) * 2 ** (m - k) for k in range(m + 1)]
-        for m in range(max_n + 1)
-    ]
-    rows = []
-    for n in range(1, max_n + 1):
-        row = []
-        for m in range(1, n + 1):
-            sum1 = 0
-            for j in range(n - m):
-                diagonal = diagonals[n - m - j][2 * j : 2 * j + m + 1]
-                inner = sum(map(operator.mul, signs[m], diagonal))
-                sum1 += binomial(m + j - 1, j) * 3**j * inner
-            # sum_k (-1)^k C(m,k) 2^(m-k) = (2-1)^m = 1 by the binomial theorem
+    rows = [[0] * n for n in range(1, max_n + 1)]
+    for m in range(1, max_n + 1):
+        diagonals = [
+            [2 * x - y for x, y in zip(diagonal, diagonal[1:])] for diagonal in diagonals
+        ]
+        for n in range(m, max_n + 1):
+            sum1 = sum(
+                binomial(m + j - 1, j) * 3**j * diagonals[n - m - j][2 * j]
+                for j in range(n - m)
+            )
             sum2 = binomial(n - 1, n - m) * 3 ** (n - m)
             value = _exact_div(binomial(2 * n, m - 1) * (sum1 + sum2), m)
             if value < 0:
                 raise ConsistencyError(
                     f"rooted_forest_paper_rows({max_n}): r({n}, {m}) evaluated to {value} < 0"
                 )
-            row.append(value)
-        rows.append(row)
+            rows[n - 1][m - 1] = value
     return rows
 
 

@@ -384,22 +384,42 @@ class TestEnumerate:
             1518028,
         )
 
+    # the listing visits every diagram and is capped at 8; the scan's tallies at 12
+    ABOVE_CAP = ((("--n", "9", "--list"), 9, 8), (("--n", "13"), 13, 12))
+
     def test_above_cap_without_force(self, capsys):
-        code, _, err = _run(capsys, "enumerate", "--n", "9")
-        assert code == EXIT_USAGE
-        assert "cap" in err
+        for argv, _, _ in self.ABOVE_CAP:
+            code, _, err = _run(capsys, "enumerate", *argv)
+            assert code == EXIT_USAGE
+            assert "cap" in err
 
     def test_above_cap_error_names_force_before_any_sweep(self, capsys, monkeypatch):
         def sweep(*args, **kwargs):
             raise AssertionError("the sweep must not start")
 
         monkeypatch.setattr(chordforest.oracle, "brute_force_counts", sweep)
-        code, out, err = _run(capsys, "enumerate", "--n", "9")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err == (
-            "error: --n 9 exceeds the enumeration cap of 8; pass --force to override\n"
-        )
+        monkeypatch.setattr(chordforest.oracle, "iter_forests", sweep)
+        for argv, n, cap in self.ABOVE_CAP:
+            code, out, err = _run(capsys, "enumerate", *argv)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err == (
+                f"error: --n {n} exceeds the enumeration cap of {cap}; "
+                "pass --force to override\n"
+            )
+
+    def test_tallies_above_the_listing_cap(self, capsys):
+        code, out, _ = _run(capsys, "enumerate", "--n", "10")
+        assert code == EXIT_OK
+        # the scan's tallies, which equal the closed forms at n = 10
+        f = [forest_count(10, m) for m in range(1, 11)]
+        r = [rooted_forest_count(10, m) for m in range(1, 11)]
+        assert out.splitlines() == [
+            "n=10",
+            "total-diagrams=654729075",
+            f"total-forests={sum(f)}",
+            *(f"m={m} forests={f[m - 1]} rooted={r[m - 1]}" for m in range(1, 11)),
+        ]
 
     def test_threads_is_no_longer_an_option(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

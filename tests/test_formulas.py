@@ -7,6 +7,7 @@ produced by the functions under test.
 
 import itertools
 import math
+import operator
 from collections import Counter
 
 import pytest
@@ -230,6 +231,35 @@ def _literal_paper_sum(n, m):
     return _exact_div(binomial(2 * n, m - 1) * (sum1 + sum2), m)
 
 
+def _diagonal_paper_rows(max_n):
+    """The paper's sum with every k-sum multiplied out along one diagonal of
+    the coefficient table: the oracle for the Pascal steps in
+    rooted_forest_paper_rows."""
+    # diagonals[d][a] = [x^(a+d)] T^a; diagonals[0] is never read
+    diagonals = [[]] + [
+        [lagrange_coeff(a, a + d) for a in range(2 * (max_n - d))]
+        for d in range(1, max_n)
+    ]
+    # signs[m][k] = (-1)^k C(m,k) 2^(m-k), S1's k-factor; signs[0] is never read
+    signs = [
+        [(-1) ** k * binomial(m, k) * 2 ** (m - k) for k in range(m + 1)]
+        for m in range(max_n + 1)
+    ]
+    rows = []
+    for n in range(1, max_n + 1):
+        row = []
+        for m in range(1, n + 1):
+            sum1 = 0
+            for j in range(n - m):
+                diagonal = diagonals[n - m - j][2 * j : 2 * j + m + 1]
+                inner = sum(map(operator.mul, signs[m], diagonal))
+                sum1 += binomial(m + j - 1, j) * 3**j * inner
+            sum2 = binomial(n - 1, n - m) * 3 ** (n - m)
+            row.append(_exact_div(binomial(2 * n, m - 1) * (sum1 + sum2), m))
+        rows.append(row)
+    return rows
+
+
 class TestRootedForestCount:
     def test_small_table(self):
         # confirmed by the exhaustive sweeps (test_oracle.py, n <= 7)
@@ -261,9 +291,9 @@ class TestRootedForestCount:
         for n in range(1, 61):
             assert rooted_forest_count(n, n) == catalan(n)
 
-    def test_lagrange_burmann_equals_paper_sum_to_hundred(self):
-        rows = rooted_forest_paper_rows(100)
-        assert [len(row) for row in rows] == list(range(1, 101))
+    def test_lagrange_burmann_equals_paper_sum_to_one_hundred_fifty(self):
+        rows = rooted_forest_paper_rows(150)
+        assert [len(row) for row in rows] == list(range(1, 151))
         for n, row in enumerate(rows, start=1):
             assert row == [rooted_forest_count(n, m) for m in range(1, n + 1)]
 
@@ -283,9 +313,14 @@ class TestRootedForestCount:
         for n, row in enumerate(rows, start=1):
             assert row == [_literal_paper_sum(n, m) for m in range(1, n + 1)]
 
+    def test_paper_sum_equals_diagonal_table_sums(self):
+        for max_n in range(1, 41):
+            assert rooted_forest_paper_rows(max_n) == _diagonal_paper_rows(max_n)
+
     def test_paper_sum_last_row_uses_the_whole_table(self):
-        # The last row reads each diagonal of the coefficient table to its end;
-        # a table one entry short would drop terms there and nowhere else.
+        # The last row's m = 1 cell reads each once-stepped diagonal at its
+        # last entry, which is made from the last two of the coefficient
+        # table; a table one entry short would fail there and nowhere else.
         for max_n in range(1, 13):
             last = rooted_forest_paper_rows(max_n)[-1]
             assert last == [_literal_paper_sum(max_n, m) for m in range(1, max_n + 1)]
