@@ -25,7 +25,7 @@ from collections.abc import Iterable, Iterator
 
 from . import diagrams, formulas, oracle
 from .errors import ConsistencyError
-from .series import mul, rooted_gf, solve_ternary_gf, tree_gf
+from .series import mul, rooted_gf, solve_ternary_gf, tree_gf, tree_powers
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -177,22 +177,29 @@ def _first_mismatch(cases: Iterable[tuple], left_name: str, right_name: str) -> 
     return None
 
 
-def _series_vs_formula(max_n: int) -> Iterator[tuple]:
-    """Coefficient bridge: C(2n, m-1) [x^n] S^m / m against the closed forms."""
-    pairs = (
-        ("f", tree_gf(max_n), formulas.forest_count),
-        ("r", rooted_gf(max_n), formulas.rooted_forest_count),
-    )
-    for label, gf, closed_form in pairs:
-        power = (1,) + (0,) * max_n
-        for m in range(1, max_n + 1):
-            power = mul(power, gf)
+def _series_vs_formula(max_n: int, rooted_table) -> Iterator[tuple]:
+    """Coefficient bridge: C(2n, m-1) [x^n] S^m / m against the closed forms.
+
+    T's powers come from :func:`tree_powers`, which steps them by the
+    engine's own equation x T = x^2 + T^3 with additions only.  R has no such
+    equation, so its powers stay repeated truncated products.  The r cells are
+    read from ``rooted_table()``, the table that :func:`_rooted_forms` shares.
+    """
+    t, r = tree_gf(max_n), rooted_gf(max_n)
+
+    def cells(label, powers, closed_form):
+        for m, power in enumerate(powers, start=1):
             for n in range(m, max_n + 1):
                 numerator = formulas.binomial(2 * n, m - 1) * power[n]
                 quotient, remainder = divmod(numerator, m)
                 # an inexact quotient is shown as a fraction, which equals no count
                 series = f"{numerator}/{m}" if remainder else quotient
                 yield f"{label}(n={n}, m={m})", closed_form(n, m), series
+
+    yield from cells("f", tree_powers(t), formulas.forest_count)
+    table = rooted_table()
+    r_powers = itertools.accumulate(itertools.repeat(r, max_n - 1), mul, initial=r)
+    yield from cells("r", r_powers, lambda n, m: table[n - 1][m - 1])
 
 
 def _formula_vs_bruteforce(max_n: int) -> Iterator[tuple]:
@@ -216,11 +223,13 @@ def _kreweras(max_n: int) -> Iterator[tuple]:
             yield f"type {sizes} of [{n}]", formulas.kreweras_count(sizes), seen
 
 
-def _rooted_forms(max_n: int) -> Iterator[tuple]:
-    """r(n, m) by the Lagrange-Buermann form against the paper's double sum."""
-    for n, row in enumerate(formulas.rooted_forest_paper_rows(max_n), start=1):
+def _rooted_forms(max_n: int, rooted_table) -> Iterator[tuple]:
+    """r(n, m) from ``rooted_table()`` against the paper's double sum."""
+    rows = formulas.rooted_forest_paper_rows(max_n)
+    table = rooted_table()
+    for n, row in enumerate(rows, start=1):
         for m, paper in enumerate(row, start=1):
-            yield f"r(n={n}, m={m})", formulas.rooted_forest_count(n, m), paper
+            yield f"r(n={n}, m={m})", table[n - 1][m - 1], paper
 
 
 def _type_sum(max_n: int) -> Iterator[tuple]:
@@ -248,18 +257,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--max-n-brute {args.max_n_brute} exceeds the enumeration cap "
             f"of {oracle.SCAN_CAP}"
         )
+    # Both r checks read one table of rooted_forest_count cells, built by
+    # whichever runs first; the cache lives for this call only.
+    @functools.cache
+    def rooted_table() -> list[list[int]]:
+        return [
+            [formulas.rooted_forest_count(n, m) for m in range(1, n + 1)]
+            for n in range(1, args.max_n_formula + 1)
+        ]
+
     # (check, its cases, their left and right names); each generator runs
     # only when its check's turn comes.
     suites = (
         (
             f"formula-vs-series (n<={args.max_n_formula})",
-            _series_vs_formula(args.max_n_formula),
+            _series_vs_formula(args.max_n_formula, rooted_table),
             "formula",
             "series",
         ),
         (
             f"rooted-paper-sum-vs-lagrange-burmann (n<={args.max_n_formula})",
-            _rooted_forms(args.max_n_formula),
+            _rooted_forms(args.max_n_formula, rooted_table),
             "lagrange-burmann",
             "paper-sum",
         ),

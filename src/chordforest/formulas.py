@@ -270,8 +270,10 @@ def rooted_forest_paper_rows(max_n: int) -> list[list[int]]:
 
     I_0[d] has 2(max_n-d) entries and each step drops one, so I_m[d] keeps
     2(max_n-d) - m, past the index 2(n-m-d) <= 2(max_n-d) - 2m that S1 reads.
+    The weights C(m+j-1,j) 3^j form one ratio chain per m, each step an
+    exact division: w_j = w_(j-1) 3 (m+j-1) / j, about max_n^2/2 steps in all.
     The rows take about max_n^2 :func:`lagrange_coeff` calls, one per table
-    entry, and about max_n^3 big-int subtractions.
+    entry, and about max_n^3 big-int subtractions and weight products.
     """
     if max_n < 1:
         raise ValueError(
@@ -287,11 +289,11 @@ def rooted_forest_paper_rows(max_n: int) -> list[list[int]]:
         diagonals = [
             [2 * x - y for x, y in zip(diagonal, diagonal[1:])] for diagonal in diagonals
         ]
+        weights = [1]  # weights[j] = C(m+j-1, j) 3^j
+        for j in range(1, max_n - m):
+            weights.append(_exact_div(weights[-1] * 3 * (m + j - 1), j))
         for n in range(m, max_n + 1):
-            sum1 = sum(
-                binomial(m + j - 1, j) * 3**j * diagonals[n - m - j][2 * j]
-                for j in range(n - m)
-            )
+            sum1 = sum(weights[j] * diagonals[n - m - j][2 * j] for j in range(n - m))
             sum2 = binomial(n - 1, n - m) * 3 ** (n - m)
             value = _exact_div(binomial(2 * n, m - 1) * (sum1 + sum2), m)
             if value < 0:

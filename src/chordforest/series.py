@@ -24,6 +24,7 @@ __all__ = [
     "rooted_gf",
     "solve_ternary_gf",
     "tree_gf",
+    "tree_powers",
     "x_derivative",
 ]
 
@@ -85,6 +86,22 @@ def tree_gf(order: int) -> tuple[int, ...]:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     return (0,) + solve_ternary_gf(order - 1)
+
+
+def tree_powers(t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """[T, T^2, ..., T^N] modulo x^(N+1), for the series T known to order N.
+
+    T^2 is one product; every higher power comes from the equation
+    x T = x^2 + T^3 times T^(k-1), that is T^(k+2) = x T^k - x^2 T^(k-1):
+    one shift and one subtraction per power instead of a product.  Only ``t``
+    enters, so a wrong coefficient of ``t`` carries into every power.
+    """
+    n = len(t) - 1
+    powers = [(1,) + (0,) * n, t, mul(t, t)]
+    while len(powers) <= n:
+        lower, power = powers[-3], powers[-2]
+        powers.append((0, power[0], *map(operator.sub, power[1:n], lower[: n - 1])))
+    return powers[1 : n + 1]
 
 
 def rooted_gf(order: int) -> tuple[int, ...]:

@@ -581,16 +581,59 @@ class TestVerify:
         genuine = chordforest.cli.mul
 
         def corrupted(a, b):
-            # [x^4] T^3 is 3; C(8, 2) * 4 / 3 is not an integer
+            # [x^4] R^3 is 6; C(8, 2) * 7 / 3 is not an integer
             product = genuine(a, b)
-            if product[:5] == (0, 0, 0, 1, 3):
+            if product[:5] == (0, 0, 0, 1, 6):
                 product = product[:4] + (product[4] + 1,) + product[5:]
             return product
 
         monkeypatch.setattr(chordforest.cli, "mul", corrupted)
         self._failure(
-            capsys, "formula-vs-series (n<=4)", "f(n=4, m=3) formula=28 series=112/3"
+            capsys, "formula-vs-series (n<=4)", "r(n=4, m=3) formula=56 series=196/3"
         )
+
+    def test_wrong_tree_coefficient_fails_the_bridge(self, capsys, monkeypatch):
+        genuine = chordforest.cli.tree_gf
+
+        def corrupted(order):
+            t = genuine(order)
+            return t[:2] + (t[2] + 1,) + t[3:]  # t_2 = 2, not 1
+
+        monkeypatch.setattr(chordforest.cli, "tree_gf", corrupted)
+        self._failure(capsys, "formula-vs-series (n<=4)", "f(n=2, m=1) formula=1 series=2")
+
+    def test_each_rooted_cell_is_computed_once_per_call(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.rooted_forest_count
+        calls = []
+
+        def counted(n, m):
+            calls.append((n, m))
+            return genuine(n, m)
+
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_count", counted)
+        for expected in (84, 168):
+            code, _, _ = _run(capsys, "verify", "--max-n-formula", "12", "--max-n-brute", "3")
+            assert code == EXIT_OK
+            # 78 cells for n <= 12, shared by both r checks, and 6 for n <= 3
+            assert len(calls) == expected
+
+    def test_wrong_rooted_cell_fails_both_checks_that_share_it(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.rooted_forest_count
+
+        def corrupted(n, m):
+            return genuine(n, m) + ((n, m) == (5, 2))
+
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_count", corrupted)
+        code, out, _ = _run(capsys, "verify", "--max-n-formula", "12", "--max-n-brute", "3")
+        assert code == EXIT_MISMATCH
+        lines = out.splitlines()
+        for check, right in (
+            ("formula-vs-series (n<=12)", "formula=661 series=660"),
+            ("rooted-paper-sum-vs-lagrange-burmann (n<=12)", "lagrange-burmann=661 paper-sum=660"),
+        ):
+            index = lines.index(f"check {check}: FAIL")
+            assert lines[index + 1] == f"  first counterexample: r(n=5, m=2) {right}"
+        assert lines[-1] == "2 of 6 checks failed"
 
     def test_failed_self_check_is_a_counterexample(self, capsys, monkeypatch):
         genuine = chordforest.series.mul

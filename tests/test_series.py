@@ -22,6 +22,7 @@ from chordforest.series import (
     rooted_gf,
     solve_ternary_gf,
     tree_gf,
+    tree_powers,
     x_derivative,
 )
 
@@ -149,6 +150,20 @@ class TestTreeGF:
         for build in (tree_gf, rooted_gf):
             with pytest.raises(ConsistencyError):
                 build(10)
+
+
+class TestTreePowers:
+    def test_equals_repeated_mul_to_forty(self):
+        for order in range(1, 41):
+            t = tree_gf(order)
+            assert tree_powers(t) == [_power(t, m) for m in range(1, order + 1)]
+
+    def test_wrong_coefficient_reaches_every_power(self):
+        # the recurrence steps the T it is given, not a T of its own
+        t = tree_gf(12)
+        wrong = t[:2] + (t[2] + 1,) + t[3:]
+        for power, genuine in zip(tree_powers(wrong), tree_powers(t), strict=True):
+            assert power != genuine
 
 
 class TestRootedGF:
