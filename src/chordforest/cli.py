@@ -257,14 +257,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--max-n-brute {args.max_n_brute} exceeds the enumeration cap "
             f"of {oracle.SCAN_CAP}"
         )
-    # Both r checks read one table of rooted_forest_count cells, built by
-    # whichever runs first; the cache lives for this call only.
+    # Both r checks read one table of rooted_forest_rows, one u chain per m,
+    # built by whichever runs first; the cache lives for this call only.
     @functools.cache
     def rooted_table() -> list[list[int]]:
-        return [
-            [formulas.rooted_forest_count(n, m) for m in range(1, n + 1)]
-            for n in range(1, args.max_n_formula + 1)
-        ]
+        return list(formulas.rooted_forest_rows(args.max_n_formula))
 
     # (check, its cases, their left and right names); each generator runs
     # only when its check's turn comes.

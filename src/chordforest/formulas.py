@@ -226,7 +226,8 @@ def rooted_forest_rows(max_n: int) -> Iterator[list[int]]:
     coefficient list per m is kept, and each row extends every list by one
     coefficient of the same recurrence.  The last row is checked against
     :func:`rooted_forest_count` cell by cell, so a chain that misses or
-    repeats a step cannot pass unseen.
+    repeats a step cannot pass unseen.  ``table --kind r`` and both of
+    ``verify``'s r checks read their cells from here.
     """
     if max_n < 1:
         raise ValueError(f"rooted_forest_rows requires max_n >= 1, got max_n={max_n}")
@@ -268,12 +269,13 @@ def rooted_forest_paper_rows(max_n: int) -> list[list[int]]:
         I_m[d][o] = 2 I_(m-1)[d][o] - I_(m-1)[d][o+1],
         S1 = sum_{j=0..n-m-1} C(m+j-1,j) 3^j I_m[n-m-j][2j].
 
-    I_0[d] has 2(max_n-d) entries and each step drops one, so I_m[d] keeps
-    2(max_n-d) - m, past the index 2(n-m-d) <= 2(max_n-d) - 2m that S1 reads.
+    I_0[d] has 2(max_n-d) + 1 entries and each step drops two, so I_m[d]
+    keeps 2(max_n-m-d) + 1, up to the index 2(n-m-d) <= 2(max_n-m-d) that S1
+    reads; only the diagonals d <= max_n-m are stepped.
     The weights C(m+j-1,j) 3^j form one ratio chain per m, each step an
     exact division: w_j = w_(j-1) 3 (m+j-1) / j, about max_n^2/2 steps in all.
     The rows take about max_n^2 :func:`lagrange_coeff` calls, one per table
-    entry, and about max_n^3 big-int subtractions and weight products.
+    entry, about max_n^3/3 big-int subtractions and max_n^3/6 weight products.
     """
     if max_n < 1:
         raise ValueError(
@@ -281,13 +283,14 @@ def rooted_forest_paper_rows(max_n: int) -> list[list[int]]:
         )
     # diagonals[d] = I_m[d] from I_0[d][o] = [x^(o+d)] T^o; diagonals[0] is never read
     diagonals = [[]] + [
-        [lagrange_coeff(a, a + d) for a in range(2 * (max_n - d))]
+        [lagrange_coeff(a, a + d) for a in range(2 * (max_n - d) + 1)]
         for d in range(1, max_n)
     ]
     rows = [[0] * n for n in range(1, max_n + 1)]
     for m in range(1, max_n + 1):
         diagonals = [
-            [2 * x - y for x, y in zip(diagonal, diagonal[1:])] for diagonal in diagonals
+            [2 * x - y for x, y in zip(diagonal, diagonal[1:-1])]
+            for diagonal in diagonals[: max_n - m + 1]
         ]
         weights = [1]  # weights[j] = C(m+j-1, j) 3^j
         for j in range(1, max_n - m):

@@ -602,28 +602,39 @@ class TestVerify:
         monkeypatch.setattr(chordforest.cli, "tree_gf", corrupted)
         self._failure(capsys, "formula-vs-series (n<=4)", "f(n=2, m=1) formula=1 series=2")
 
-    def test_each_rooted_cell_is_computed_once_per_call(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.rooted_forest_count
-        calls = []
+    def test_rooted_table_is_built_once_per_call(self, capsys, monkeypatch):
+        rows_genuine = chordforest.formulas.rooted_forest_rows
+        count_genuine = chordforest.formulas.rooted_forest_count
+        row_calls, cell_calls = [], []
 
-        def counted(n, m):
-            calls.append((n, m))
-            return genuine(n, m)
+        def counted_rows(max_n):
+            row_calls.append(max_n)
+            return rows_genuine(max_n)
 
-        monkeypatch.setattr(chordforest.formulas, "rooted_forest_count", counted)
-        for expected in (84, 168):
+        def counted_cell(n, m):
+            cell_calls.append((n, m))
+            return count_genuine(n, m)
+
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_rows", counted_rows)
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_count", counted_cell)
+        for expected in (1, 2):
             code, _, _ = _run(capsys, "verify", "--max-n-formula", "12", "--max-n-brute", "3")
             assert code == EXIT_OK
-            # 78 cells for n <= 12, shared by both r checks, and 6 for n <= 3
-            assert len(calls) == expected
+            # one table for both r checks; its last-row check reads the 12
+            # cells of n = 12, and brute force the 6 cells of n <= 3
+            assert row_calls == [12] * expected
+            assert len(cell_calls) == 18 * expected
 
     def test_wrong_rooted_cell_fails_both_checks_that_share_it(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.rooted_forest_count
+        genuine = chordforest.formulas.rooted_forest_rows
 
-        def corrupted(n, m):
-            return genuine(n, m) + ((n, m) == (5, 2))
+        def corrupted(max_n):
+            for n, row in enumerate(genuine(max_n), start=1):
+                if n == 5:
+                    row[1] += 1  # r(5, 2)
+                yield row
 
-        monkeypatch.setattr(chordforest.formulas, "rooted_forest_count", corrupted)
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_rows", corrupted)
         code, out, _ = _run(capsys, "verify", "--max-n-formula", "12", "--max-n-brute", "3")
         assert code == EXIT_MISMATCH
         lines = out.splitlines()
@@ -634,6 +645,23 @@ class TestVerify:
             index = lines.index(f"check {check}: FAIL")
             assert lines[index + 1] == f"  first counterexample: r(n=5, m=2) {right}"
         assert lines[-1] == "2 of 6 checks failed"
+
+    def test_wrong_cell_form_fails_the_shared_rooted_table(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.rooted_forest_count
+
+        def corrupted(n, m):
+            return genuine(n, m) + (n == 12)
+
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_count", corrupted)
+        code, out, err = _run(capsys, "verify", "--max-n-formula", "12", "--max-n-brute", "3")
+        assert code == EXIT_MISMATCH
+        lines = out.splitlines()
+        message = "  first counterexample: rooted_forest_rows(12) ends off the cell form r(12, m)"
+        for check in ("formula-vs-series (n<=12)", "rooted-paper-sum-vs-lagrange-burmann (n<=12)"):
+            index = lines.index(f"check {check}: FAIL")
+            assert lines[index + 1] == message
+        assert lines[-1] == "2 of 6 checks failed"
+        assert "Traceback" not in out + err
 
     def test_failed_self_check_is_a_counterexample(self, capsys, monkeypatch):
         genuine = chordforest.series.mul

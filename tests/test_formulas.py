@@ -318,9 +318,10 @@ class TestRootedForestCount:
             assert rooted_forest_paper_rows(max_n) == _diagonal_paper_rows(max_n)
 
     def test_paper_sum_last_row_uses_the_whole_table(self):
-        # The last row's m = 1 cell reads each once-stepped diagonal at its
-        # last entry, which is made from the last two of the coefficient
-        # table; a table one entry short would fail there and nowhere else.
+        # For every m, the last row reads every diagonal the sum still steps
+        # at its last entry, index 2(max_n-m-d): a coefficient table one entry
+        # short fails there and nowhere else, and a step that drops one entry
+        # too many fails there as well.
         for max_n in range(1, 13):
             last = rooted_forest_paper_rows(max_n)[-1]
             assert last == [_literal_paper_sum(max_n, m) for m in range(1, max_n + 1)]
