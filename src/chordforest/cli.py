@@ -126,7 +126,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    # the tallies come from the scan; only the listing visits every diagram
+    # the tallies come from the scan; only the listing walks every forest
     cap = oracle.DIAGRAM_CAP if args.list else oracle.SCAN_CAP
     if args.n > cap and not args.force:
         raise ValueError(
@@ -143,25 +143,27 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"rooted={table.rooted_by_trees[m]}"
         )
     if args.list:
-        # Each chord's text and each size tuple's text is made once, not per line.
+        # iter_forests walks b only up to the highest unmatched point and
+        # places the last chord by a label-set test, relabelling nothing.
+        # Chord texts and size tails are made once, and lines go out a chunk
+        # at a time: few write calls, and never the whole listing.
         text = {
             (a, b): diagrams.format_chords(((a, b),))
             for a in range(1, 2 * args.n)
             for b in range(a + 1, 2 * args.n + 1)
         }
-
-        @functools.cache
-        def trees(sizes: tuple[int, ...]) -> str:
-            return f"m={len(sizes)} sizes={','.join(map(str, sizes))}"
-
-        lines = (
-            f"{','.join(map(text.__getitem__, chords))} {trees(sizes)}\n"
-            for chords, sizes in oracle.iter_forests(args.n, cap=cap)
-        )
-        # written a chunk at a time: few write calls, and never the whole listing
+        tails: dict[tuple[int, ...], str] = {}  # sizes -> " m=... sizes=...\n"
         write = sys.stdout.write
-        while chunk := "".join(itertools.islice(lines, LIST_CHUNK_LINES)):
-            write(chunk)
+        lines: list[str] = []
+        for chords, sizes in oracle.iter_forests(args.n, cap=cap):
+            tail = tails.get(sizes)
+            if tail is None:
+                tail = tails[sizes] = f" m={len(sizes)} sizes={','.join(map(str, sizes))}\n"
+            lines.append(",".join(map(text.__getitem__, chords)) + tail)
+            if len(lines) == LIST_CHUNK_LINES:
+                write("".join(lines))
+                lines.clear()
+        write("".join(lines))
     return EXIT_OK
 
 

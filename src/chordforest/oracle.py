@@ -5,9 +5,11 @@ here by brute force.  The per-m tallies come from a transfer-matrix scan
 over the circle's points (:func:`brute_force_counts`) that uses only the
 crossing rule and acyclicity.  A depth-first sweep that places chords in
 canonical order and cuts a branch at its first cycle (:func:`iter_forests`)
-lists the forest diagrams themselves: a new chord (a, b) relabels each
-component it crosses with its left end a, so meeting label a again is a
-cycle.  The deliberately dumb sweep over all (2n-1)!! pairings
+lists the forest diagrams themselves.  Each chord (a, b) but the last
+relabels the components it crosses with its left end a, so meeting label a
+again is a cycle, and b stops at the highest unmatched point.  The last
+chord relabels nothing: it closes a cycle iff a label repeats among the
+right ends it spans.  The deliberately dumb sweep over all (2n-1)!! pairings
 (:func:`enumerate_diagrams`, with :func:`~.diagrams.classify_chords` on
 each one) is kept as the test oracle of both.  The non-crossing partitions
 of [N] come from a stack sweep that visits only them
@@ -23,7 +25,8 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .diagrams import Chord, classify_chords
+# unused here, but bound: perfbench's tracer rebinds oracle.classify_chords
+from .diagrams import Chord, classify_chords  # noqa: F401
 from .errors import EnumerationCapError
 
 DIAGRAM_CAP = 8  # the sweeps that visit every diagram or forest
@@ -107,25 +110,6 @@ class CountTable:
         return sum(self.forests_by_trees.values())
 
 
-def _tally(
-    chord_lists: Iterator[tuple[Chord, ...]],
-) -> tuple[dict[int, int], dict[int, int], int]:
-    forests: dict[int, int] = {}
-    rooted: dict[int, int] = {}
-    total = 0
-    for chords in chord_lists:
-        total += 1
-        shape = classify_chords(chords)
-        if shape.is_forest:
-            m = shape.component_count
-            product = 1
-            for size in shape.tree_sizes:
-                product *= size
-            forests[m] = forests.get(m, 0) + 1
-            rooted[m] = rooted.get(m, 0) + product
-    return forests, rooted, total
-
-
 def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
     """Every forest diagram of size n with its tree sizes, in enumeration order.
 
@@ -135,15 +119,22 @@ def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
 
     The sweep is depth-first and cycle-pruned.  Chords are placed in
     canonical order: the smallest unmatched point a is paired with each
-    larger unmatched point b in turn.  Every placed chord starts below a, so
-    the new chord (a, b) crosses exactly the placed chords whose right end
-    lies in (a, b).  Walking b upwards, the first right end met of a
+    larger unmatched point b in turn, up to the highest unmatched point;
+    every point past it is a right end.  Every placed chord starts below a,
+    so the new chord (a, b) crosses exactly the placed chords whose right
+    end lies in (a, b).  Walking b upwards, the first right end met of a
     component relabels the whole component with a.  No component is
     labelled a before, since labels are left ends of placed chords, so
     meeting label a again means that (a, b) crosses one component twice: a
     cycle, and so does every (a, b') with a larger b', whose interval holds
     the same chords and more.  The loop stops there.  Each crossed component
     is relabelled once per a, not once per b, and restored after the loop.
+
+    The last chord is not walked, and relabels nothing.  Its ends are a and
+    the one point left, and every point between them is a right end, so it
+    closes a cycle iff a label repeats between them.  If none does, the
+    components it crosses and the chord itself make one tree, and every
+    other component is a tree as it stands.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -157,11 +148,25 @@ def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
     # the components they cross take the label a, restored on backtrack.
     components: dict[int, list[int]] = {}
 
-    def place(a: int, chords: tuple[Chord, ...], left: int) -> ForestSweep:
-        # left: the chords still to place, (a, b) included
+    def place(a: int, chords: tuple[Chord, ...], left: int, last: int) -> ForestSweep:
+        # left: the chords still to place, (a, b) included; last: the highest
+        # unmatched point
+        if left == 1:  # the last chord, (a, last)
+            between = label[a + 1 : last]
+            met = set(between)
+            if len(met) == len(between):
+                # one size per component, less those of the crossed ones
+                # (any equal entry will do); their tree holds the rest of n
+                sizes = list(map(len, components.values()))
+                for c in met:
+                    sizes.remove(len(components[c]))
+                sizes.append(n - sum(sizes))
+                sizes.sort()
+                yield chords + ((a, last),), tuple(sizes)
+            return
         crossed: list[tuple[int, list[int]]] = []
         merged: list[int] = []  # right ends of the crossed components
-        for b in range(a + 1, top + 1):
+        for b in range(a + 1, last + 1):
             component = label[b]
             if component == a:  # a component crossed twice: a cycle
                 break
@@ -174,14 +179,13 @@ def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
                 continue
             label[b] = a
             components[a] = merged + [b]
-            placed = chords + ((a, b),)
-            if left == 1:
-                yield placed, tuple(sorted(map(len, components.values())))
-            else:
-                following = a + 1
-                while label[following]:
-                    following += 1
-                yield from place(following, placed, left - 1)
+            following = a + 1
+            while label[following]:
+                following += 1
+            end = last
+            while label[end]:
+                end -= 1
+            yield from place(following, chords + ((a, b),), left - 1, end)
             del components[a]
             label[b] = 0
         for component, group in crossed:
@@ -189,7 +193,7 @@ def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
             for q in group:
                 label[q] = component
 
-    return place(1, (), n)
+    return place(1, (), n, top)
 
 
 # A scan state: the component label of each open chord, in opening order,

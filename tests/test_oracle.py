@@ -27,8 +27,6 @@ from chordforest.formulas import (
     type_sum_forest_count,
 )
 from chordforest.oracle import (
-    _iter_pairings,
-    _tally,
     brute_force_counts,
     enumerate_diagrams,
     enumerate_noncrossing_partitions,
@@ -39,22 +37,44 @@ from crossing_reference import blocks_cross
 
 
 @functools.cache
+def _dumb_forests(n):
+    """The dumb sweep, enumerate_diagrams with classify_chords on every
+    pairing: its forests as (chords, tree sizes) in enumeration order, and
+    the number of pairings."""
+    forests = []
+
+    def keep_forest(chords):
+        shape = classify_chords(chords)
+        if shape.is_forest:
+            forests.append((chords, shape.tree_sizes))
+
+    total = enumerate_diagrams(n, keep_forest)
+    return forests, total
+
+
+def _tally(forests):
+    """(forests, rooted, by_type) over (chords, sizes) pairs: by m, by m with
+    the tree-size product, and by type (tree sizes, descending)."""
+    counts, rooted, by_type = {}, {}, Counter()
+    for _, sizes in forests:
+        m = len(sizes)
+        counts[m] = counts.get(m, 0) + 1
+        rooted[m] = rooted.get(m, 0) + math.prod(sizes)
+        by_type[tuple(sorted(sizes, reverse=True))] += 1
+    return counts, rooted, by_type
+
+
+@functools.cache
 def _dumb_tally(n):
-    """(forests, rooted, total) of the dumb sweep that classifies every pairing."""
-    return _tally(_iter_pairings(tuple(range(1, 2 * n + 1))))
+    """(forests, rooted, total) of the dumb sweep."""
+    forests, total = _dumb_forests(n)
+    return *_tally(forests)[:2], total
 
 
 @functools.cache
 def _forest_tally(n):
-    """(forests, rooted, by_type) tallied from iter_forests: by m, by m with
-    the tree-size product, and by type (tree sizes, descending)."""
-    forests, rooted, by_type = {}, {}, Counter()
-    for _, sizes in iter_forests(n):
-        m = len(sizes)
-        forests[m] = forests.get(m, 0) + 1
-        rooted[m] = rooted.get(m, 0) + math.prod(sizes)
-        by_type[tuple(sorted(sizes, reverse=True))] += 1
-    return forests, rooted, by_type
+    """_tally of iter_forests(n)."""
+    return _tally(iter_forests(n))
 
 
 class TestEnumerateDiagrams:
@@ -195,20 +215,26 @@ class TestIterForests:
 
     def test_tallies_match_dumb_sweep(self):
         for n in range(1, 8):
-            forests, rooted, _ = _dumb_tally(n)
-            assert _forest_tally(n)[:2] == (forests, rooted)
+            assert _forest_tally(n)[:2] == _dumb_tally(n)[:2]
 
     def test_forests_arrive_in_enumeration_order(self):
-        for n in range(1, 7):
-            expected = []
+        for n in range(1, 8):
+            assert list(iter_forests(n)) == _dumb_forests(n)[0]
 
-            def keep_forest(diagram):
-                shape = classify_chords(diagram)
-                if shape.is_forest:
-                    expected.append((diagram, shape.tree_sizes))
-
-            enumerate_diagrams(n, keep_forest)
-            assert list(iter_forests(n)) == expected
+    def test_last_chord_by_hand(self):
+        # n = 1: the last chord is the only one, crossing nothing
+        assert list(iter_forests(1)) == [(((1, 2),), (1,))]
+        # n = 2: the last chord stays apart, joins (1, 3), stays apart
+        assert list(iter_forests(2)) == [
+            (((1, 2), (3, 4)), (1, 1)),
+            (((1, 3), (2, 4)), (2,)),
+            (((1, 4), (2, 3)), (1, 1)),
+        ]
+        # n = 3: the triangle's last chord (3, 6) crosses (1, 4) and (2, 5),
+        # which (2, 5) has already joined into one tree: a cycle
+        forests = [chords for chords, _ in iter_forests(3)]
+        assert len(forests) == 14
+        assert ((1, 4), (2, 5), (3, 6)) not in forests
 
     def test_cap_and_domain(self):
         with pytest.raises(EnumerationCapError):
