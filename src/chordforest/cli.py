@@ -183,25 +183,41 @@ def _series_vs_formula(max_n: int, rooted_table) -> Iterator[tuple]:
     """Coefficient bridge: C(2n, m-1) [x^n] S^m / m against the closed forms.
 
     T's powers come from :func:`tree_powers`, which steps them by the
-    engine's own equation x T = x^2 + T^3 with additions only.  R has no such
-    equation, so its powers stay repeated truncated products.  The r cells are
-    read from ``rooted_table()``, the table that :func:`_rooted_forms` shares.
+    engine's own equation x T = x^2 + T^3 with additions only.  The f cells
+    meet :func:`formulas.forest_count` first; then ``tree_count(n)`` and each
+    entry of ``tree_counts(max_n)`` meet [x^n] T, and each ``forest_row(n)``
+    meets the same f cells, so every kernel that ``count`` and ``table``
+    print t and f from is compared.  R has no equation like T's, so its
+    powers stay repeated truncated products.  The r cells are read from
+    ``rooted_table()``, the table that :func:`_rooted_forms` shares.
     """
     t, r = tree_gf(max_n), rooted_gf(max_n)
 
-    def cells(label, powers, closed_form):
-        for m, power in enumerate(powers, start=1):
-            for n in range(m, max_n + 1):
-                numerator = formulas.binomial(2 * n, m - 1) * power[n]
-                quotient, remainder = divmod(numerator, m)
-                # an inexact quotient is shown as a fraction, which equals no count
-                series = f"{numerator}/{m}" if remainder else quotient
-                yield f"{label}(n={n}, m={m})", closed_form(n, m), series
+    def bridged(power, n, m):
+        numerator = formulas.binomial(2 * n, m - 1) * power[n]
+        quotient, remainder = divmod(numerator, m)
+        # an inexact quotient is shown as a fraction, which equals no count
+        return f"{numerator}/{m}" if remainder else quotient
 
-    yield from cells("f", tree_powers(t), formulas.forest_count)
+    f_series = [[] for _ in range(max_n)]  # f_series[n-1][m-1]
+    for m, power in enumerate(tree_powers(t), start=1):
+        for n in range(m, max_n + 1):
+            series = bridged(power, n, m)
+            f_series[n - 1].append(series)
+            yield f"f(n={n}, m={m})", formulas.forest_count(n, m), series
+    for n in range(1, max_n + 1):
+        yield f"t(n={n})", formulas.tree_count(n), t[n]
+    for n, count in enumerate(formulas.tree_counts(max_n), start=1):
+        yield f"t(n={n})", count, t[n]
+    for n, row in enumerate(f_series, start=1):
+        counts = formulas.forest_row(n)
+        for m, (count, series) in enumerate(zip(counts, row, strict=True), start=1):
+            yield f"f(n={n}, m={m})", count, series
     table = rooted_table()
     r_powers = itertools.accumulate(itertools.repeat(r, max_n - 1), mul, initial=r)
-    yield from cells("r", r_powers, lambda n, m: table[n - 1][m - 1])
+    for m, power in enumerate(r_powers, start=1):
+        for n in range(m, max_n + 1):
+            yield f"r(n={n}, m={m})", table[n - 1][m - 1], bridged(power, n, m)
 
 
 def _formula_vs_bruteforce(max_n: int) -> Iterator[tuple]:

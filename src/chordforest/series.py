@@ -11,6 +11,11 @@ to the same numbers:
     G = 1 + x G^3        (ternary trees),
     T = x G              (tree diagrams, T = sum t_n x^n),
     R = x T'             (rooted tree diagrams, R = sum n t_n x^n).
+
+The engine's operations are the truncated product :func:`mul`, its half-cost
+:func:`square` and :func:`x_derivative`.  G's recurrence runs half-convolutions
+of its own, so G's self-check, built from :func:`mul` and :func:`square`,
+shares no code with it.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "mul",
     "rooted_gf",
     "solve_ternary_gf",
+    "square",
     "tree_gf",
     "tree_powers",
     "x_derivative",
@@ -43,6 +49,27 @@ def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def square(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The product a a, known to the order of a.
+
+    Each cross product a_i a_j with i < j is formed once and the sums are
+    doubled, then the diagonal a_i^2 is added: about half the products of
+    ``mul(a, a)``.
+    """
+    n = len(a) - 1
+    cross = [0] * (n + 1)
+    for i in range((n + 1) // 2):
+        ai = a[i]
+        if ai:
+            for j in range(i + 1, n + 1 - i):
+                aj = a[j]
+                if aj:
+                    cross[i + j] += ai * aj
+    return tuple(
+        2 * c + (a[k // 2] ** 2 if k % 2 == 0 else 0) for k, c in enumerate(cross)
+    )
+
+
 def x_derivative(a: tuple[int, ...]) -> tuple[int, ...]:
     """x a', known to the same order as a."""
     return tuple(map(operator.mul, range(len(a)), a))
@@ -51,25 +78,38 @@ def x_derivative(a: tuple[int, ...]) -> tuple[int, ...]:
 def solve_ternary_gf(order: int) -> tuple[int, ...]:
     """The unique series G with G = 1 + x G^3, modulo x^(order+1).
 
-    Online coefficient recurrence: g_0 = 1 and g_n = [x^(n-1)] G^3 for
-    n >= 1, which involves only g_0..g_(n-1).  Running coefficient lists of
-    G^2 and G^3 each gain one entry per new g_n, a single convolution of
-    length n + 1, so the whole solve costs O(order^2) coefficient products.
-    This is the schoolbook form of relaxed ("online") series evaluation,
-    J. van der Hoeven, *Relax, but don't be too lazy*, J. Symbolic Comput.
-    34 (2002).  It uses nothing but the defining equation, which is
-    re-checked at full order before returning, with G^3 recomputed by
-    :func:`mul` rather than taken from the running lists.
+    Online coefficient recurrence on C = G^3, so that G = 1 + x C and
+    g_n = c_(n-1) for n >= 1.  Differentiating C = (1 + x C)^3 gives
+
+        C' (1 - 2 x C) = 3 C^2,   that is   k c_k = (k + 2) [x^(k-1)] C^2,
+
+    since [x^(k-2)] C C' = (k - 1) [x^(k-1)] C^2 / 2.  The coefficient of C^2
+    involves only c_0..c_(k-1) and is symmetric, so each new c_k costs one
+    half-convolution: the products c_i c_(k-1-i) with i < k-1-i, doubled, plus
+    the middle square, about order^2 / 4 products in all.  The division by k
+    is exact, and a nonzero remainder raises :class:`ConsistencyError`.  This
+    is J. C. P. Miller's power-series recurrence (Knuth, *TAOCP* Vol. 2,
+    Sec. 4.7) in the schoolbook form of relaxed ("online") series evaluation,
+    J. van der Hoeven, *Relax, but don't be too lazy*, J. Symbolic Comput. 34
+    (2002).  It uses nothing but the defining equation, which is re-checked
+    at full order before returning, with G^3 recomputed as
+    ``mul(square(G), G)``, code the recurrence does not share.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    g, g2, g3 = [1], [1], [1]
-    for n in range(1, order + 1):
-        g.append(g3[n - 1])
-        g2.append(sum(map(operator.mul, g, reversed(g))))
-        g3.append(sum(map(operator.mul, g, reversed(g2))))
-    g = tuple(g)
-    if g != (1,) + mul(mul(g, g), g)[:-1]:
+    c = [1]
+    for k in range(1, order):
+        # [x^(k-1)] C^2; map stops at the shorter of c[:half] and reversed(c)
+        half, odd = divmod(k, 2)
+        c2 = 2 * sum(map(operator.mul, c[:half], reversed(c)))
+        if odd:
+            c2 += c[half] ** 2
+        ck, remainder = divmod((k + 2) * c2, k)
+        if remainder:
+            raise ConsistencyError(f"(k + 2) [x^(k-1)] C^2 is not divisible by k = {k}")
+        c.append(ck)
+    g = (1, *c[:order])
+    if g != (1,) + mul(square(g), g)[:-1]:
         raise ConsistencyError(f"G - 1 - x G^3 is nonzero at order {order}")
     return g
 
@@ -91,13 +131,13 @@ def tree_gf(order: int) -> tuple[int, ...]:
 def tree_powers(t: tuple[int, ...]) -> list[tuple[int, ...]]:
     """[T, T^2, ..., T^N] modulo x^(N+1), for the series T known to order N.
 
-    T^2 is one product; every higher power comes from the equation
+    T^2 is one :func:`square`; every higher power comes from the equation
     x T = x^2 + T^3 times T^(k-1), that is T^(k+2) = x T^k - x^2 T^(k-1):
     one shift and one subtraction per power instead of a product.  Only ``t``
     enters, so a wrong coefficient of ``t`` carries into every power.
     """
     n = len(t) - 1
-    powers = [(1,) + (0,) * n, t, mul(t, t)]
+    powers = [(1,) + (0,) * n, t, square(t)]
     while len(powers) <= n:
         lower, power = powers[-3], powers[-2]
         powers.append((0, power[0], *map(operator.sub, power[1:n], lower[: n - 1])))
@@ -118,7 +158,7 @@ def rooted_gf(order: int) -> tuple[int, ...]:
         raise ValueError(f"order must be >= 1, got {order}")
     t = tree_gf(order + 1)
     r = x_derivative(t)
-    denominator = tuple((k == 1) - 3 * c for k, c in enumerate(mul(t, t)))
+    denominator = tuple((k == 1) - 3 * c for k, c in enumerate(square(t)))
     numerator = (0,) + tuple(2 * (k == 1) - c for k, c in enumerate(t[:-1]))
     if mul(r, denominator) != numerator:
         raise ConsistencyError("x T' disagrees with x (2x - T) / (x - 3 T^2)")

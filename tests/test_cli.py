@@ -602,6 +602,50 @@ class TestVerify:
         monkeypatch.setattr(chordforest.cli, "tree_gf", corrupted)
         self._failure(capsys, "formula-vs-series (n<=4)", "f(n=2, m=1) formula=1 series=2")
 
+    @staticmethod
+    def _bridge_failure(capsys, counterexample):
+        # the bounds at which default verify once passed a wrong t(20)
+        code, out, _ = _run(capsys, "verify", "--max-n-formula", "30", "--max-n-brute", "5")
+        assert code == EXIT_MISMATCH
+        lines = out.splitlines()
+        index = lines.index("check formula-vs-series (n<=30): FAIL")
+        assert lines[index + 1] == f"  first counterexample: {counterexample}"
+        assert lines[-1] == "1 of 6 checks failed"
+
+    def test_wrong_tree_count_fails_the_bridge(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.tree_count
+
+        def corrupted(n):
+            return genuine(n) + (n == 20)
+
+        monkeypatch.setattr(chordforest.formulas, "tree_count", corrupted)
+        self._bridge_failure(capsys, "t(n=20) formula=16332922290301 series=16332922290300")
+
+    def test_wrong_tree_counts_entry_fails_the_bridge(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.tree_counts
+
+        def corrupted(max_n):
+            row = genuine(max_n)
+            row[19] += 1  # t(20)
+            return row
+
+        monkeypatch.setattr(chordforest.formulas, "tree_counts", corrupted)
+        self._bridge_failure(capsys, "t(n=20) formula=16332922290301 series=16332922290300")
+
+    def test_wrong_forest_row_cell_fails_the_bridge(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.forest_row
+
+        def corrupted(n):
+            row = genuine(n)
+            if n == 20:
+                row[4] += 1  # f(20, 5)
+            return row
+
+        monkeypatch.setattr(chordforest.formulas, "forest_row", corrupted)
+        self._bridge_failure(
+            capsys, "f(n=20, m=5) formula=4114066297404337 series=4114066297404336"
+        )
+
     def test_rooted_table_is_built_once_per_call(self, capsys, monkeypatch):
         rows_genuine = chordforest.formulas.rooted_forest_rows
         count_genuine = chordforest.formulas.rooted_forest_count

@@ -3,9 +3,11 @@ the generating functions against closed forms they were not built from.
 """
 
 import math
+import operator
+import types
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import chordforest.series
@@ -21,6 +23,7 @@ from chordforest.series import (
     mul,
     rooted_gf,
     solve_ternary_gf,
+    square,
     tree_gf,
     tree_powers,
     x_derivative,
@@ -45,10 +48,10 @@ def _power(series, exponent):
 
 
 def _off_by_one(genuine):
-    """A corrupted product: genuine(a, b) plus one."""
+    """A corrupted product: genuine(*factors) plus one."""
 
-    def corrupted(a, b):
-        product = genuine(a, b)
+    def corrupted(*factors):
+        product = genuine(*factors)
         return (product[0] + 1,) + product[1:]
 
     return corrupted
@@ -64,6 +67,20 @@ def _fixed_point_ternary_gf(order):
     for _ in range(order):
         g = (1,) + _power(g, 3)
     return g
+
+
+def _two_list_ternary_gf(order):
+    """Oracle for solve_ternary_gf: the online recurrence g_n = [x^(n-1)] G^3.
+
+    Running coefficient lists of G^2 and G^3 each gain one entry, a full
+    convolution, per new g_n; about order^2 products, with no division.
+    """
+    g, g2, g3 = [1], [1], [1]
+    for n in range(1, order + 1):
+        g.append(g3[n - 1])
+        g2.append(sum(map(operator.mul, g, reversed(g))))
+        g3.append(sum(map(operator.mul, g, reversed(g2))))
+    return tuple(g)
 
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=10)
@@ -90,6 +107,13 @@ class TestRingOperations:
         # and distributes over the coefficientwise sum
         sum_bc = tuple(map(sum, zip(sb, sc)))
         assert mul(sa, sum_bc) == tuple(map(sum, zip(mul(sa, sb), mul(sa, sc))))
+
+    @given(coeff_lists)
+    @example([0])
+    @example([-7])
+    @example([0, 0, 0])
+    def test_square_matches_mul(self, a):
+        assert square(tuple(a)) == mul(tuple(a), tuple(a))
 
     def test_derivative(self):
         assert x_derivative((7, 1, 1, 3, 12)) == (0, 1, 2, 9, 48)
@@ -122,12 +146,32 @@ class TestTernaryGF:
         for order in range(41):
             assert solve_ternary_gf(order) == _fixed_point_ternary_gf(order)
 
+    def test_recurrence_matches_two_list_oracle_to_three_hundred(self):
+        # the oracle's coefficients do not depend on its order, so one run
+        # at 300 holds every shorter answer as a prefix
+        oracle = _two_list_ternary_gf(300)
+        for order in range(301):
+            assert solve_ternary_gf(order) == oracle[: order + 1]
+
     def test_nonzero_residual_raises(self, monkeypatch):
-        # The residual recomputes G^3 through mul, a path the recurrence
-        # does not use; corrupting it must be caught.
-        monkeypatch.setattr(chordforest.series, "mul", _off_by_one(mul))
-        with pytest.raises(ConsistencyError, match="G - 1 - x G\\^3 is nonzero"):
-            solve_ternary_gf(10)
+        # The residual recomputes G^3 as mul(square(G), G), a path the
+        # recurrence does not use; corrupting either step must be caught.
+        for name, genuine in (("mul", mul), ("square", square)):
+            with monkeypatch.context() as patch:
+                patch.setattr(chordforest.series, name, _off_by_one(genuine))
+                with pytest.raises(ConsistencyError, match="G - 1 - x G\\^3 is nonzero"):
+                    solve_ternary_gf(10)
+
+    def test_inexact_recurrence_step_raises(self, monkeypatch):
+        # Each c_k is a quotient by k; a product off by one inside the
+        # half-convolution leaves 5 * 43 over k = 3, which the check refuses.
+        def off_by_one(a, b):
+            return a * b + 1
+
+        fake = types.SimpleNamespace(mul=off_by_one)
+        monkeypatch.setattr(chordforest.series, "operator", fake)
+        with pytest.raises(ConsistencyError, match="is not divisible by k = 3"):
+            solve_ternary_gf(4)
 
 
 class TestTreeGF:
@@ -145,11 +189,14 @@ class TestTreeGF:
         assert tree_gf(9) == (0,) + solve_ternary_gf(8)
 
     def test_corrupted_power_is_caught_without_a_check_of_its_own(self, monkeypatch):
-        # T and R are built from G, whose self-check recomputes G^3 by mul.
-        monkeypatch.setattr(chordforest.series, "mul", _off_by_one(mul))
-        for build in (tree_gf, rooted_gf):
-            with pytest.raises(ConsistencyError):
-                build(10)
+        # T and R are built from G, whose self-check recomputes G^3 as
+        # mul(square(G), G).
+        for name, genuine in (("mul", mul), ("square", square)):
+            with monkeypatch.context() as patch:
+                patch.setattr(chordforest.series, name, _off_by_one(genuine))
+                for build in (tree_gf, rooted_gf):
+                    with pytest.raises(ConsistencyError):
+                        build(10)
 
 
 class TestTreePowers:
