@@ -8,11 +8,9 @@ verify`` command cross-checks them.
 
 from .diagrams import (
     Classification,
-    IntersectionGraph,
     classify_chords,
     format_chords,
     from_pairs,
-    intersection_graph,
     parse_diagram,
 )
 from .errors import ConsistencyError, EnumerationCapError

@@ -1,4 +1,4 @@
-"""Chord diagrams on 2n circle points and their intersection graphs.
+"""Chord diagrams on 2n circle points and their tree/forest classification.
 
 Points are labeled 1..2n clockwise.  A chord joins the two points of a
 pair; two chords cross iff their endpoints interleave around the circle.
@@ -6,24 +6,23 @@ A diagram is its canonical chord tuple: the pairs (a, b) with a < b,
 ascending in a, so the first chord always starts at point 1.  The
 intersection graph has one vertex per chord and an edge per crossing
 pair, and a diagram is called a tree or forest diagram according to that
-graph.
+graph.  :func:`classify_chords` decides this by counting the crossings
+and the components they join, without building the graph.
 """
 
 from __future__ import annotations
 
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 Chord = tuple[int, int]
 
 __all__ = [
     "Chord",
     "Classification",
-    "IntersectionGraph",
     "classify_chords",
     "format_chords",
     "from_pairs",
-    "intersection_graph",
     "parse_diagram",
 ]
 
@@ -50,20 +49,6 @@ def from_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[Chord, ...]:
     return tuple(sorted((a, b) if a < b else (b, a) for a, b in pair_list))
 
 
-@dataclass(frozen=True)
-class IntersectionGraph:
-    """Crossing graph of a diagram; vertex i is the i-th canonical chord.
-
-    ``component_id`` labels components consecutively in order of first
-    appearance; ``component_sizes`` is the size multiset, ascending.
-    """
-
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-    component_id: tuple[int, ...]
-    component_sizes: tuple[int, ...]
-
-
 def _find(parent: list[int], i: int) -> int:
     """Root of i in the union-find forest ``parent``, halving the path to it."""
     while parent[i] != i:
@@ -72,57 +57,16 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
-def _components(chords: Sequence[Chord]) -> tuple[list[tuple[int, int]], list[int]]:
-    """Crossing pairs (i, j), i < j, of a canonical chord list (ascending
-    pairs, ascending starts), and a component label per chord: the index of
-    its component's union-find root."""
-    n = len(chords)
-    parent = list(range(n))
-    pairs = []
-    for i in range(n):
-        b = chords[i][1]
-        for j in range(i + 1, n):
-            c, d = chords[j]
-            if c < b < d:  # chords[i] starts before chords[j], so this is a crossing
-                pairs.append((i, j))
-                ri, rj = _find(parent, i), _find(parent, j)
-                if ri != rj:
-                    parent[rj] = ri
-    return pairs, [_find(parent, i) for i in range(n)]
-
-
-def _sizes(roots: list[int]) -> dict[int, int]:
-    """Chords per component, keyed by component label in order of first appearance."""
-    sizes: dict[int, int] = {}
-    for root in roots:
-        sizes[root] = sizes.get(root, 0) + 1
-    return sizes
-
-
-def intersection_graph(chords: Sequence[Chord]) -> IntersectionGraph:
-    edges, roots = _components(chords)
-    sizes = _sizes(roots)
-    consecutive = {root: label for label, root in enumerate(sizes)}
-    return IntersectionGraph(
-        len(chords),
-        frozenset(edges),
-        tuple(consecutive[root] for root in roots),
-        tuple(sorted(sizes.values())),
-    )
-
-
-@dataclass(frozen=True)
-class Classification:
+class Classification(
+    namedtuple("Classification", "component_count is_forest is_tree tree_sizes")
+):
     """Forest/tree verdict for one diagram.
 
     ``tree_sizes`` lists chords per component, ascending, and is None unless
     the diagram is a forest.
     """
 
-    component_count: int
-    is_forest: bool
-    is_tree: bool
-    tree_sizes: tuple[int, ...] | None
+    __slots__ = ()
 
 
 def classify_chords(chords: Sequence[Chord]) -> Classification:
@@ -131,10 +75,21 @@ def classify_chords(chords: Sequence[Chord]) -> Classification:
     Acyclicity is decided by the edge count: the crossing graph is a forest
     iff it has exactly vertices - components edges.
     """
-    edges, roots = _components(chords)
-    sizes = _sizes(roots)
+    n = len(chords)
+    parent = list(range(n))
+    crossings = 0
+    for i in range(n):
+        b = chords[i][1]
+        for j in range(i + 1, n):
+            c, d = chords[j]
+            if c < b < d:  # chords[i] starts before chords[j], so this is a crossing
+                crossings += 1
+                ri, rj = _find(parent, i), _find(parent, j)
+                if ri != rj:
+                    parent[rj] = ri
+    sizes = Counter(_find(parent, i) for i in range(n))
     component_count = len(sizes)
-    is_forest = len(edges) == len(chords) - component_count
+    is_forest = crossings == n - component_count
     return Classification(
         component_count,
         is_forest,

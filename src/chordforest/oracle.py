@@ -21,9 +21,8 @@ hours; pass a larger ``cap`` explicitly to go above a default.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 # unused here, but bound: perfbench's tracer rebinds oracle.classify_chords
 from .diagrams import Chord, classify_chords  # noqa: F401
@@ -91,8 +90,9 @@ def enumerate_diagrams(
     return count
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(
+    namedtuple("CountTable", "n forests_by_trees rooted_by_trees total_diagrams")
+):
     """Exhaustive per-m tallies over all diagrams with n chords.
 
     ``forests_by_trees[m]`` counts the forest diagrams with m trees;
@@ -100,10 +100,7 @@ class CountTable:
     tree sizes, which is the number of ways to pick one root chord per tree.
     """
 
-    n: int
-    forests_by_trees: dict[int, int]
-    rooted_by_trees: dict[int, int]
-    total_diagrams: int
+    __slots__ = ()
 
     @property
     def total_forests(self) -> int:

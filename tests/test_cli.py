@@ -13,7 +13,6 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ElementTree
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -503,7 +502,7 @@ class TestVerify:
             table = genuine(n, **kwargs)
             if n != at_n:
                 return table
-            return replace(table, **{key: change(table) for key, change in changes.items()})
+            return table._replace(**{key: change(table) for key, change in changes.items()})
 
         monkeypatch.setattr(chordforest.oracle, "brute_force_counts", patched)
 

@@ -2,7 +2,9 @@
 
 The running example is the five-chord diagram 1-8,2-9,3-5,7-10,4-6, whose
 crossing graph is a triangle on the chords (1,8), (2,9), (7,10) plus an
-edge between (3,5) and (4,6).
+edge between (3,5) and (4,6).  The crossing graph comes from the test
+reference ``crossing_reference.intersection_graph``, which shares no code
+with ``classify_chords``; ``TestIntersectionGraph`` pins the reference itself.
 """
 
 import itertools
@@ -15,11 +17,10 @@ from chordforest.diagrams import (
     classify_chords,
     format_chords,
     from_pairs,
-    intersection_graph,
     parse_diagram,
 )
 from chordforest.oracle import enumerate_diagrams
-from crossing_reference import blocks_cross
+from crossing_reference import blocks_cross, intersection_graph
 
 FIVE_CHORD_PAIRS = [(1, 8), (2, 9), (3, 5), (7, 10), (4, 6)]
 
