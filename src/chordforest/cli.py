@@ -34,6 +34,7 @@ EXIT_IO = 3
 
 KREWERAS_VERIFY_MAX = 9
 TYPE_SUM_VERIFY_MAX = 12
+ROOTED_CELL_VERIFY_MAX = 20
 IDENTITY_ORDER = 40
 SERIES_ORDER_CAP = 600
 LIST_CHUNK_LINES = 1024  # enumerate --list lines per stdout write
@@ -189,9 +190,16 @@ def _series_vs_formula(max_n: int, rooted_table) -> Iterator[tuple]:
     meets the same f cells, so every kernel that ``count`` and ``table``
     print t and f from is compared.  R has no equation like T's, so its
     powers stay repeated truncated products.  The r cells are read from
-    ``rooted_table()``, the table that :func:`_rooted_forms` shares.
+    ``rooted_table()``, the table that :func:`_rooted_forms` shares.  T
+    comes from R's solve, t_n = r_n / n, so G is solved once.
     """
-    t, r = tree_gf(max_n), rooted_gf(max_n)
+    r = rooted_gf(max_n)
+    t = [0]
+    for n in range(1, max_n + 1):
+        coefficient, remainder = divmod(r[n], n)
+        if remainder:
+            raise ConsistencyError(f"[x^{n}] R = {r[n]} is not divisible by n = {n}")
+        t.append(coefficient)
 
     def bridged(power, n, m):
         numerator = formulas.binomial(2 * n, m - 1) * power[n]
@@ -221,8 +229,7 @@ def _series_vs_formula(max_n: int, rooted_table) -> Iterator[tuple]:
 
 
 def _formula_vs_bruteforce(max_n: int) -> Iterator[tuple]:
-    for n in range(1, max_n + 1):
-        table = oracle.brute_force_counts(n)
+    for n, table in enumerate(oracle.brute_force_tables(max_n), start=1):
         total = formulas.double_factorial_pairings(n)
         yield f"diagram total (n={n})", total, table.total_diagrams
         for m in range(1, n + 1):
@@ -233,8 +240,7 @@ def _formula_vs_bruteforce(max_n: int) -> Iterator[tuple]:
 
 
 def _kreweras(max_n: int) -> Iterator[tuple]:
-    for n in range(1, max_n + 1):
-        tallies = oracle.enumerate_noncrossing_partitions(n)
+    for n, tallies in enumerate(oracle.noncrossing_partition_tallies(max_n), start=1):
         total = sum(tallies.values())
         yield f"non-crossing partitions of [{n}]", formulas.catalan(n), total
         for sizes, seen in tallies.items():
@@ -242,12 +248,17 @@ def _kreweras(max_n: int) -> Iterator[tuple]:
 
 
 def _rooted_forms(max_n: int, rooted_table) -> Iterator[tuple]:
-    """r(n, m) from ``rooted_table()`` against the paper's double sum."""
+    """r(n, m) from ``rooted_table()`` against the paper's double sum, then
+    the cell form that ``count --kind r`` prints from, for n up to
+    ``ROOTED_CELL_VERIFY_MAX``."""
     rows = formulas.rooted_forest_paper_rows(max_n)
     table = rooted_table()
     for n, row in enumerate(rows, start=1):
         for m, paper in enumerate(row, start=1):
             yield f"r(n={n}, m={m})", table[n - 1][m - 1], paper
+    for n, row in enumerate(rows[:ROOTED_CELL_VERIFY_MAX], start=1):
+        for m, paper in enumerate(row, start=1):
+            yield f"r(n={n}, m={m})", formulas.rooted_forest_count(n, m), paper
 
 
 def _type_sum(max_n: int) -> Iterator[tuple]:

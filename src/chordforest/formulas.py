@@ -11,6 +11,7 @@ bad input raises ``ValueError``.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -192,20 +193,6 @@ def rooted_forest_count(n: int, m: int) -> int:
         )
     u = [1]
     _extend_u(u, m, n - m)
-    return _rooted_from_u(n, m, u)
-
-
-def _extend_u(u: list[int], m: int, steps: int) -> None:
-    """Append the next ``steps`` coefficients of u(w) = (1-w)^m (1-2w)^(1-m) to ``u``."""
-    start = len(u) - 1
-    previous = u[start - 1] if start else 0
-    for k in range(start, start + steps):
-        u.append(_exact_div((3 * k + m - 2) * u[k] - (2 * k - 4) * previous, k + 1))
-        previous = u[k]
-
-
-def _rooted_from_u(n: int, m: int, u: list[int]) -> int:
-    """r(n, m) from [w^0..w^(n-m)] u: see :func:`rooted_forest_count`."""
     top = 3 * n - 1 - 2 * m
     total = 0
     choose = 1  # C(top, j)
@@ -219,24 +206,48 @@ def _rooted_from_u(n: int, m: int, u: list[int]) -> int:
     return value
 
 
+def _extend_u(u: list[int], m: int, steps: int) -> None:
+    """Append the next ``steps`` coefficients of u(w) = (1-w)^m (1-2w)^(1-m) to ``u``."""
+    start = len(u) - 1
+    previous = u[start - 1] if start else 0
+    for k in range(start, start + steps):
+        u.append(_exact_div((3 * k + m - 2) * u[k] - (2 * k - 4) * previous, k + 1))
+        previous = u[k]
+
+
 def rooted_forest_rows(max_n: int) -> Iterator[list[int]]:
     """[r(n, 1), ..., r(n, n)] for n = 1..max_n, one row at a time.
 
     The series u of :func:`rooted_forest_count` depends on m only, so one
     coefficient list per m is kept, and each row extends every list by one
-    coefficient of the same recurrence.  The last row is checked against
-    :func:`rooted_forest_count` cell by cell, so a chain that misses or
-    repeats a step cannot pass unseen.  ``table --kind r`` and both of
-    ``verify``'s r checks read their cells from here.
+    coefficient of the same recurrence.  The binomials C(3n-1-2m, j),
+    j <= n-m, depend on n - m and the top 3n-1-2m, which grows by one from
+    row to row at a fixed d = n - m.  So one list [C(n-1+2d, j) for j <= d]
+    is kept per d, and each row advances every list by one step of Pascal's
+    rule, C(a+1, j) = C(a, j) + C(a, j-1), and adds the list of d = n-1;
+    at most n(n+1)/2 binomials are alive at once.  The last row is checked
+    against :func:`rooted_forest_count`, whose binomials are a ratio chain,
+    cell by cell, so a chain that misses or repeats a step cannot pass
+    unseen.  ``table --kind r`` and both of ``verify``'s r checks read their
+    cells from here.
     """
     if max_n < 1:
         raise ValueError(f"rooted_forest_rows requires max_n >= 1, got max_n={max_n}")
     chains: list[list[int]] = []  # chains[m-1] = [u_0, ..., u_(n-m)] of that m
+    segments: list[list[int]] = []  # segments[d] = [C(n-1+2d, j) for j <= d]
     for n in range(1, max_n + 1):
         for m, u in enumerate(chains, start=1):
             _extend_u(u, m, 1)
         chains.append([1])
-        row = [_rooted_from_u(n, m, u) for m, u in enumerate(chains, start=1)]
+        segments = [[1, *map(operator.add, segment[1:], segment)] for segment in segments]
+        segments.append([binomial(3 * n - 3, j) for j in range(n)])
+        row = []
+        for m, u in enumerate(chains, start=1):
+            total = sum(map(operator.mul, u, reversed(segments[n - m])))
+            value = _exact_div(binomial(2 * n, m - 1) * total, m)
+            if value < 0:
+                raise ConsistencyError(f"r({n}, {m}) evaluated to {value} < 0")
+            row.append(value)
         if n == max_n and row != [rooted_forest_count(n, m) for m in range(1, n + 1)]:
             raise ConsistencyError(
                 f"rooted_forest_rows({max_n}) ends off the cell form r({max_n}, m)"

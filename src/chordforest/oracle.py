@@ -2,8 +2,10 @@
 
 Everything the closed forms and the series engine compute is re-derivable
 here by brute force.  The per-m tallies come from a transfer-matrix scan
-over the circle's points (:func:`brute_force_counts`) that uses only the
-crossing rule and acyclicity.  A depth-first sweep that places chords in
+over the circle's points that uses only the crossing rule and acyclicity;
+one scan to n yields the tallies of every size up to n
+(:func:`brute_force_tables`), the last of which is
+:func:`brute_force_counts`.  A depth-first sweep that places chords in
 canonical order and cuts a branch at its first cycle (:func:`iter_forests`)
 lists the forest diagrams themselves.  Each chord (a, b) but the last
 relabels the components it crosses with its left end a, so meeting label a
@@ -12,9 +14,10 @@ chord relabels nothing: it closes a cycle iff a label repeats among the
 right ends it spans.  The deliberately dumb sweep over all (2n-1)!! pairings
 (:func:`enumerate_diagrams`, with :func:`~.diagrams.classify_chords` on
 each one) is kept as the test oracle of both.  The non-crossing partitions
-of [N] come from a stack sweep that visits only them
-(:func:`enumerate_noncrossing_partitions`), and forest types are the
-partitions of n into m parts.  Enumeration order is deterministic, and
+of [N] come from a stack sweep that visits only them, and one sweep of [N]
+tallies every ground set up to N (:func:`noncrossing_partition_tallies`;
+the last tally is :func:`enumerate_noncrossing_partitions`).  Forest types
+are the partitions of n into m parts.  Enumeration order is deterministic, and
 sizes are guarded by caps so a typo'd n fails fast instead of running for
 hours; pass a larger ``cap`` explicitly to go above a default.
 """
@@ -38,10 +41,12 @@ __all__ = [
     "SCAN_CAP",
     "CountTable",
     "brute_force_counts",
+    "brute_force_tables",
     "enumerate_diagrams",
     "enumerate_noncrossing_partitions",
     "enumerate_types",
     "iter_forests",
+    "noncrossing_partition_tallies",
 ]
 
 # (chords, ascending tree sizes) per forest
@@ -207,13 +212,13 @@ def _carry(layer: ScanLayer, state, tallies: dict[int, list[int]]) -> None:
         entry[1] += weight
 
 
-def brute_force_counts(n: int, cap: int = SCAN_CAP) -> CountTable:
-    """Tally the forest diagrams of size n, and rooted forests, by m.
+def brute_force_tables(max_n: int, cap: int = SCAN_CAP) -> list[CountTable]:
+    """[brute_force_counts(1), ..., brute_force_counts(max_n)] from one scan.
 
-    A transfer-matrix scan over the 2n points, one layer per point: each
-    point opens a chord or closes one still open.  A closing chord crosses
-    exactly the open chords opened after it, and a close that joins two
-    chords of one component closes a cycle.  The scan uses nothing but
+    A transfer-matrix scan over the 2 max_n points, one layer per point:
+    each point opens a chord or closes one still open.  A closing chord
+    crosses exactly the open chords opened after it, and a close that joins
+    two chords of one component closes a cycle.  The scan uses nothing but
     that crossing rule and acyclicity, no counting theorem.
 
     Labels are renumbered by first appearance, so equal states meet.  A
@@ -221,13 +226,19 @@ def brute_force_counts(n: int, cap: int = SCAN_CAP) -> CountTable:
     its size multiplies the rooted weight.  Scans that have closed a cycle
     are kept apart, by their open chords only, so that ``total_diagrams``
     counts them too.  Only the current layer and the next are alive.
+
+    An open is pruned when the points left cannot close every open chord.
+    A scan that has closed every chord by point 2k passes the pruning for
+    2k points too, so after 2k points the state with no open chord holds
+    exactly the diagrams with k chords: their table is read there.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_cap(n, cap, "diagram sweep")
+    if max_n < 1:
+        raise ValueError(f"n must be >= 1, got {max_n}")
+    _check_cap(max_n, cap, "diagram sweep")
+    tables: list[CountTable] = []
     layer: ScanLayer = {((), ()): {0: [1, 1]}}
     cyclic: Counter[int] = Counter()  # open chords -> scans that closed a cycle
-    for left in range(2 * n, 0, -1):
+    for left in range(2 * max_n, 0, -1):
         following: ScanLayer = {}
         following_cyclic: Counter[int] = Counter()
         # An open needs a later point for every chord then open.
@@ -266,16 +277,27 @@ def brute_force_counts(n: int, cap: int = SCAN_CAP) -> CountTable:
                     }
                 _carry(following, (tuple(next_labels), tuple(next_sizes)), carried)
         layer, cyclic = following, following_cyclic
-    tallies = sorted(layer[(), ()].items())
-    forests = {m: scans for m, (scans, _) in tallies}
-    rooted = {m: weight for m, (_, weight) in tallies}
-    return CountTable(n, forests, rooted, sum(forests.values()) + cyclic[0])
+        if left % 2:  # an even number of points scanned
+            tallies = sorted(layer[(), ()].items())
+            forests = {m: scans for m, (scans, _) in tallies}
+            rooted = {m: weight for m, (_, weight) in tallies}
+            total = sum(forests.values()) + cyclic[0]
+            tables.append(CountTable(len(tables) + 1, forests, rooted, total))
+    return tables
 
 
-def enumerate_noncrossing_partitions(
-    ground_size: int, cap: int = PARTITION_CAP
-) -> dict[tuple[int, ...], int]:
-    """Tally the non-crossing partitions of [ground_size] by block-size type.
+def brute_force_counts(n: int, cap: int = SCAN_CAP) -> CountTable:
+    """Tally the forest diagrams of size n, and rooted forests, by m.
+
+    The last table of one scan to n, :func:`brute_force_tables`.
+    """
+    return brute_force_tables(n, cap)[-1]
+
+
+def noncrossing_partition_tallies(
+    max_size: int, cap: int = PARTITION_CAP
+) -> list[dict[tuple[int, ...], int]]:
+    """[enumerate_noncrossing_partitions(1), ..., (max_size)] from one sweep.
 
     A type is the tuple of block sizes in descending order.  The sweep keeps
     a stack of the blocks that can still grow, oldest at the bottom.  Each
@@ -289,20 +311,29 @@ def enumerate_noncrossing_partitions(
     a popped block never grows again.  The joins are tried from the bottom
     of the stack to the top and then the new block, which is the
     restricted-growth order of all set partitions with every crossing one
-    skipped: each non-crossing partition is visited once, and the tallies
-    come out in that order.
+    skipped: each non-crossing partition is visited once.
+
+    On its way to [max_size], the sweep holds each non-crossing partition
+    of [N] once, when it reaches the element N + 1, and meets them in the
+    order of a sweep of [N] alone; so every N is tallied there.  The sweep
+    tallies the block sizes in block order, and each tuple is sorted once
+    afterwards, in the order first met: each type comes out where its
+    first partition was met, as in that sweep's order.
     """
-    if ground_size < 1:
-        raise ValueError(f"ground_size must be >= 1, got {ground_size}")
-    _check_cap(ground_size, cap, "set-partition sweep")
-    tallies: dict[tuple[int, ...], int] = {}
+    if max_size < 1:
+        raise ValueError(f"ground_size must be >= 1, got {max_size}")
+    _check_cap(max_size, cap, "set-partition sweep")
+    # by_blocks[N-1]: block sizes of [N], oldest block first -> partitions
+    by_blocks: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_size)]
     sizes: list[int] = []  # every block's size, oldest first
 
     def place(element: int, stack: tuple[int, ...]) -> None:
-        if element > ground_size:
-            key = tuple(sorted(sizes, reverse=True))
-            tallies[key] = tallies.get(key, 0) + 1
-            return
+        if sizes:  # a partition of [element - 1]
+            tally = by_blocks[element - 2]
+            key = tuple(sizes)
+            tally[key] = tally.get(key, 0) + 1
+            if element > max_size:
+                return
         for depth, block in enumerate(stack, start=1):
             sizes[block] += 1
             place(element + 1, stack[:depth])
@@ -312,7 +343,24 @@ def enumerate_noncrossing_partitions(
         sizes.pop()
 
     place(1, ())
+    tallies: list[dict[tuple[int, ...], int]] = []
+    for blocks in by_blocks:
+        tally: dict[tuple[int, ...], int] = {}
+        for block_sizes, seen in blocks.items():
+            key = tuple(sorted(block_sizes, reverse=True))
+            tally[key] = tally.get(key, 0) + seen
+        tallies.append(tally)
     return tallies
+
+
+def enumerate_noncrossing_partitions(
+    ground_size: int, cap: int = PARTITION_CAP
+) -> dict[tuple[int, ...], int]:
+    """Tally the non-crossing partitions of [ground_size] by block-size type.
+
+    The last tally of :func:`noncrossing_partition_tallies`.
+    """
+    return noncrossing_partition_tallies(ground_size, cap)[-1]
 
 
 def _iter_partitions_into_parts(

@@ -495,16 +495,18 @@ class TestVerify:
 
     @staticmethod
     def _patch_brute_force(monkeypatch, at_n, **changes):
-        """brute_force_counts with ``changes(table)`` applied to its table at n = at_n."""
-        genuine = chordforest.oracle.brute_force_counts
+        """brute_force_tables with ``changes(table)`` applied to its table at n = at_n."""
+        genuine = chordforest.oracle.brute_force_tables
 
-        def patched(n, **kwargs):
-            table = genuine(n, **kwargs)
-            if n != at_n:
-                return table
-            return table._replace(**{key: change(table) for key, change in changes.items()})
+        def patched(max_n, **kwargs):
+            tables = genuine(max_n, **kwargs)
+            table = tables[at_n - 1]
+            tables[at_n - 1] = table._replace(
+                **{key: change(table) for key, change in changes.items()}
+            )
+            return tables
 
-        monkeypatch.setattr(chordforest.oracle, "brute_force_counts", patched)
+        monkeypatch.setattr(chordforest.oracle, "brute_force_tables", patched)
 
     def test_bruteforce_diagram_total_counterexample(self, capsys, monkeypatch):
         self._patch_brute_force(
@@ -535,16 +537,15 @@ class TestVerify:
         )
 
     def test_kreweras_total_counterexample(self, capsys, monkeypatch):
-        genuine = chordforest.oracle.enumerate_noncrossing_partitions
+        genuine = chordforest.oracle.noncrossing_partition_tallies
         one_block = (5,)
 
-        def patched(ground_size, **kwargs):
-            tallies = genuine(ground_size, **kwargs)
-            if ground_size == 5:
-                tallies[one_block] += 1
+        def patched(max_size, **kwargs):
+            tallies = genuine(max_size, **kwargs)
+            tallies[4][one_block] += 1  # [5]
             return tallies
 
-        monkeypatch.setattr(chordforest.oracle, "enumerate_noncrossing_partitions", patched)
+        monkeypatch.setattr(chordforest.oracle, "noncrossing_partition_tallies", patched)
         self._failure(
             capsys,
             "kreweras-vs-enumeration (N<=9)",
@@ -592,14 +593,26 @@ class TestVerify:
         )
 
     def test_wrong_tree_coefficient_fails_the_bridge(self, capsys, monkeypatch):
-        genuine = chordforest.cli.tree_gf
+        genuine = chordforest.cli.rooted_gf
 
         def corrupted(order):
-            t = genuine(order)
-            return t[:2] + (t[2] + 1,) + t[3:]  # t_2 = 2, not 1
+            r = genuine(order)
+            return r[:2] + (r[2] + 2,) + r[3:]  # t_2 = r_2 / 2 = 2, not 1
 
-        monkeypatch.setattr(chordforest.cli, "tree_gf", corrupted)
+        monkeypatch.setattr(chordforest.cli, "rooted_gf", corrupted)
         self._failure(capsys, "formula-vs-series (n<=4)", "f(n=2, m=1) formula=1 series=2")
+
+    def test_inexact_tree_coefficient_fails_the_bridge(self, capsys, monkeypatch):
+        genuine = chordforest.cli.rooted_gf
+
+        def corrupted(order):
+            r = genuine(order)
+            return r[:2] + (r[2] + 1,) + r[3:]  # r_2 = 3, not 2 t_2
+
+        monkeypatch.setattr(chordforest.cli, "rooted_gf", corrupted)
+        self._failure(
+            capsys, "formula-vs-series (n<=4)", "[x^2] R = 3 is not divisible by n = 2"
+        )
 
     @staticmethod
     def _bridge_failure(capsys, counterexample):
@@ -664,9 +677,10 @@ class TestVerify:
             code, _, _ = _run(capsys, "verify", "--max-n-formula", "12", "--max-n-brute", "3")
             assert code == EXIT_OK
             # one table for both r checks; its last-row check reads the 12
-            # cells of n = 12, and brute force the 6 cells of n <= 3
+            # cells of n = 12, the paper-sum check the 78 cells of n <= 12,
+            # and brute force the 6 cells of n <= 3
             assert row_calls == [12] * expected
-            assert len(cell_calls) == 18 * expected
+            assert len(cell_calls) == 96 * expected
 
     def test_wrong_rooted_cell_fails_both_checks_that_share_it(self, capsys, monkeypatch):
         genuine = chordforest.formulas.rooted_forest_rows
@@ -706,6 +720,24 @@ class TestVerify:
         assert lines[-1] == "2 of 6 checks failed"
         assert "Traceback" not in out + err
 
+    def test_wrong_cell_form_below_the_last_row_fails_the_paper_sum(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.rooted_forest_count
+
+        def corrupted(n, m):
+            return genuine(n, m) + ((n, m) == (20, 5))
+
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_count", corrupted)
+        # the rows' last-row check reads n = 30 only, and brute force n <= 5
+        code, out, _ = _run(capsys, "verify", "--max-n-formula", "30", "--max-n-brute", "5")
+        assert code == EXIT_MISMATCH
+        lines = out.splitlines()
+        index = lines.index("check rooted-paper-sum-vs-lagrange-burmann (n<=30): FAIL")
+        assert lines[index + 1] == (
+            "  first counterexample: r(n=20, m=5) "
+            "lagrange-burmann=289790184665121505 paper-sum=289790184665121504"
+        )
+        assert lines[-1] == "1 of 6 checks failed"
+
     def test_failed_self_check_is_a_counterexample(self, capsys, monkeypatch):
         genuine = chordforest.series.mul
 
@@ -719,10 +751,11 @@ class TestVerify:
             capsys, "verify", "--max-n-formula", "4", "--max-n-brute", "2"
         )
         # Both series checks report the self-check's message; the rest run on.
+        # The bridge solves G once, one order above n <= 4, inside rooted_gf.
         assert code == EXIT_MISMATCH
         assert out.splitlines() == [
             "check formula-vs-series (n<=4): FAIL",
-            "  first counterexample: G - 1 - x G^3 is nonzero at order 3",
+            "  first counterexample: G - 1 - x G^3 is nonzero at order 4",
             "check rooted-paper-sum-vs-lagrange-burmann (n<=4): PASS",
             "check formula-vs-bruteforce (n<=2): PASS",
             "check kreweras-vs-enumeration (N<=9): PASS",

@@ -28,10 +28,12 @@ from chordforest.formulas import (
 )
 from chordforest.oracle import (
     brute_force_counts,
+    brute_force_tables,
     enumerate_diagrams,
     enumerate_noncrossing_partitions,
     enumerate_types,
     iter_forests,
+    noncrossing_partition_tallies,
 )
 from crossing_reference import blocks_cross
 
@@ -176,6 +178,28 @@ class TestBruteForceCounts:
             table = brute_force_counts(n)
             tallies = (table.forests_by_trees, table.rooted_by_trees)
             assert tallies == _forest_tally(n)[:2]
+
+    def test_one_scan_holds_every_smaller_table(self):
+        tables = brute_force_tables(8)
+        assert [table.n for table in tables] == list(range(1, 9))
+        for n, table in enumerate(tables, start=1):
+            tallies = (table.forests_by_trees, table.rooted_by_trees)
+            assert tallies == _forest_tally(n)[:2]
+            if n <= 7:
+                assert (*tallies, table.total_diagrams) == _dumb_tally(n)
+
+    def test_one_scan_equals_a_scan_per_bound_up_to_ten(self):
+        # a scan to n prunes for 2n points, a scan to 10 for 20
+        for n, table in enumerate(brute_force_tables(10, cap=10), start=1):
+            alone = brute_force_counts(n, cap=10)
+            assert table == alone
+            assert list(table.forests_by_trees) == list(alone.forests_by_trees)
+
+    def test_tables_domain_and_cap(self):
+        with pytest.raises(ValueError):
+            brute_force_tables(0)
+        with pytest.raises(EnumerationCapError):
+            brute_force_tables(13)
 
     def test_total_is_double_factorial_up_to_ten(self):
         pairings = 1
@@ -330,7 +354,17 @@ class TestEnumerateNoncrossingPartitions:
             pruned = enumerate_noncrossing_partitions(n)
             assert list(pruned.items()) == list(_literal_partition_tallies(n).items())
 
+    def test_one_sweep_matches_literal_sweep_for_every_size(self):
+        tallies = noncrossing_partition_tallies(10)
+        assert len(tallies) == 10
+        for n, tally in enumerate(tallies, start=1):
+            assert list(tally.items()) == list(_literal_partition_tallies(n).items())
+
     def test_cap(self):
+        with pytest.raises(EnumerationCapError):
+            noncrossing_partition_tallies(13)
+        with pytest.raises(ValueError):
+            noncrossing_partition_tallies(0)
         with pytest.raises(EnumerationCapError):
             enumerate_noncrossing_partitions(13)
         with pytest.raises(ValueError):
