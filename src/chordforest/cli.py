@@ -269,11 +269,16 @@ def _type_sum(max_n: int) -> Iterator[tuple]:
 
 
 def _series_identities(order: int) -> Iterator[tuple]:
-    """No cases: G and R re-check their defining identities themselves and
-    raise ``ConsistencyError`` on a failure.  ``rooted_gf(order)`` solves G
-    at ``order`` first, so a failure of G names ``order``."""
-    rooted_gf(order)
-    yield from ()
+    """[x^n] R against n t_n, for n <= ``order``: ``rooted_gf`` against the
+    ``tree_gf`` that ``series --which T`` prints from.  Each builder re-checks
+    its own identity and raises ``ConsistencyError`` on a failure:
+    ``tree_gf(order + 1)`` solves and checks G at ``order`` first, so a
+    failure of G names ``order``; ``rooted_gf`` checks R's closed form, its
+    only check."""
+    t = tree_gf(order + 1)
+    r = rooted_gf(order)
+    for n in range(order + 1):
+        yield f"[x^{n}]", r[n], n * t[n]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -328,8 +333,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         (
             f"series-identities (order {IDENTITY_ORDER})",
             _series_identities(IDENTITY_ORDER),
-            "",
-            "",
+            "R",
+            "xT'",
         ),
     )
     failures = 0

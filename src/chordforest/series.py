@@ -14,8 +14,10 @@ to the same numbers:
 
 The engine's operations are the truncated product :func:`mul`, its half-cost
 :func:`square` and :func:`x_derivative`.  G's recurrence runs half-convolutions
-of its own, so G's self-check, built from :func:`mul` and :func:`square`,
-shares no code with it.
+of its own, so the self-checks, built from :func:`mul` and :func:`square`,
+share no code with it.  Each solve is checked once: :func:`solve_ternary_gf`
+checks G's equation, and :func:`rooted_gf` checks only R's closed form,
+which holds only if its T satisfies x T = x^2 + T^3.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ def x_derivative(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.mul, range(len(a)), a))
 
 
-def solve_ternary_gf(order: int) -> tuple[int, ...]:
-    """The unique series G with G = 1 + x G^3, modulo x^(order+1).
+def _ternary_coefficients(order: int) -> tuple[int, ...]:
+    """G = 1 + x G^3 modulo x^(order+1), by its coefficient recurrence alone.
 
     Online coefficient recurrence on C = G^3, so that G = 1 + x C and
     g_n = c_(n-1) for n >= 1.  Differentiating C = (1 + x C)^3 gives
@@ -91,9 +93,8 @@ def solve_ternary_gf(order: int) -> tuple[int, ...]:
     is J. C. P. Miller's power-series recurrence (Knuth, *TAOCP* Vol. 2,
     Sec. 4.7) in the schoolbook form of relaxed ("online") series evaluation,
     J. van der Hoeven, *Relax, but don't be too lazy*, J. Symbolic Comput. 34
-    (2002).  It uses nothing but the defining equation, which is re-checked
-    at full order before returning, with G^3 recomputed as
-    ``mul(square(G), G)``, code the recurrence does not share.
+    (2002).  Its callers check the result: :func:`solve_ternary_gf` against
+    G's equation, :func:`rooted_gf` against R's closed form.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -108,7 +109,18 @@ def solve_ternary_gf(order: int) -> tuple[int, ...]:
         if remainder:
             raise ConsistencyError(f"(k + 2) [x^(k-1)] C^2 is not divisible by k = {k}")
         c.append(ck)
-    g = (1, *c[:order])
+    return (1, *c[:order])
+
+
+def solve_ternary_gf(order: int) -> tuple[int, ...]:
+    """The unique series G with G = 1 + x G^3, modulo x^(order+1).
+
+    The coefficients come from :func:`_ternary_coefficients`, which uses
+    nothing but the defining equation.  The equation is re-checked here at
+    full order, with G^3 recomputed as ``mul(square(G), G)``, code the
+    recurrence does not share.
+    """
+    g = _ternary_coefficients(order)
     if g != (1,) + mul(square(g), g)[:-1]:
         raise ConsistencyError(f"G - 1 - x G^3 is nonzero at order {order}")
     return g
@@ -120,8 +132,8 @@ def tree_gf(order: int) -> tuple[int, ...]:
     T has no check of its own, because one would find nothing new.  With
     T = x G the residual of x T = x^2 + T^3 is x^2 (G - 1 - x G^3), and
     :func:`solve_ternary_gf` has just checked G - 1 - x G^3 to one order
-    higher than that needs.  :func:`rooted_gf` checks T once more: its
-    closed form equals x T' only if T satisfies x T = x^2 + T^3.
+    higher than that needs.  :func:`rooted_gf` does not read T from here:
+    it builds its own T from G's bare recurrence and checks it through R.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -153,10 +165,24 @@ def rooted_gf(order: int) -> tuple[int, ...]:
     product's coefficient of x^(k+1) is the first to involve r_k, so T and R
     are built one order higher than asked for; otherwise the top coefficient
     of R would go unchecked.
+
+    This is the only check here: T is x times G's bare recurrence
+    (:func:`_ternary_coefficients`), without G's own check, which would
+    prove nothing more.  With P = x T - T^3 - x^2 = x^2 (G - 1 - x G^3),
+
+        R (x - 3 T^2) - x (2x - T) = x P'   when R = x T',
+
+    so the check on coefficients 0..order+1 forces k p_k = 0 up to
+    k = order + 1, that is G - 1 - x G^3 = 0 modulo x^order: every g_k with
+    k < order, which is all that the returned R reads (r_n = n g_(n-1)).
+    With T right, x T' is the check's only solution R, so it also covers
+    :func:`x_derivative`.  The top coefficient g_order feeds only
+    r_(order+1), which meets the zero constant term of x - 3 T^2 and is
+    dropped.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    t = tree_gf(order + 1)
+    t = (0,) + _ternary_coefficients(order)
     r = x_derivative(t)
     denominator = tuple((k == 1) - 3 * c for k, c in enumerate(square(t)))
     numerator = (0,) + tuple(2 * (k == 1) - c for k, c in enumerate(t[:-1]))

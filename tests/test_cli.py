@@ -592,6 +592,21 @@ class TestVerify:
             capsys, "formula-vs-series (n<=4)", "r(n=4, m=3) formula=56 series=196/3"
         )
 
+    @staticmethod
+    def _rooted_gf_failure(capsys, bridge, identities):
+        # cli's rooted_gf feeds the bridge and the series-identities check,
+        # which compares it with tree_gf, so both report the fault
+        code, out, _ = _run(capsys, "verify", "--max-n-formula", "4", "--max-n-brute", "3")
+        assert code == EXIT_MISMATCH
+        lines = out.splitlines()
+        for check, counterexample in (
+            ("formula-vs-series (n<=4)", bridge),
+            ("series-identities (order 40)", identities),
+        ):
+            index = lines.index(f"check {check}: FAIL")
+            assert lines[index + 1] == f"  first counterexample: {counterexample}"
+        assert lines[-1] == "2 of 6 checks failed"
+
     def test_wrong_tree_coefficient_fails_the_bridge(self, capsys, monkeypatch):
         genuine = chordforest.cli.rooted_gf
 
@@ -600,7 +615,9 @@ class TestVerify:
             return r[:2] + (r[2] + 2,) + r[3:]  # t_2 = r_2 / 2 = 2, not 1
 
         monkeypatch.setattr(chordforest.cli, "rooted_gf", corrupted)
-        self._failure(capsys, "formula-vs-series (n<=4)", "f(n=2, m=1) formula=1 series=2")
+        self._rooted_gf_failure(
+            capsys, "f(n=2, m=1) formula=1 series=2", "[x^2] R=4 xT'=2"
+        )
 
     def test_inexact_tree_coefficient_fails_the_bridge(self, capsys, monkeypatch):
         genuine = chordforest.cli.rooted_gf
@@ -610,9 +627,28 @@ class TestVerify:
             return r[:2] + (r[2] + 1,) + r[3:]  # r_2 = 3, not 2 t_2
 
         monkeypatch.setattr(chordforest.cli, "rooted_gf", corrupted)
-        self._failure(
-            capsys, "formula-vs-series (n<=4)", "[x^2] R = 3 is not divisible by n = 2"
+        self._rooted_gf_failure(
+            capsys, "[x^2] R = 3 is not divisible by n = 2", "[x^2] R=3 xT'=2"
         )
+
+    def test_wrong_tree_gf_coefficient_fails_the_identities(self, capsys, monkeypatch):
+        # tree_gf, which series --which T prints from, reaches verify only
+        # through the series-identities check
+        genuine = chordforest.cli.tree_gf
+
+        def corrupted(order):
+            t = genuine(order)
+            return t[:20] + (t[20] + 1,) + t[21:]
+
+        monkeypatch.setattr(chordforest.cli, "tree_gf", corrupted)
+        code, out, _ = _run(capsys, "verify")
+        assert code == EXIT_MISMATCH
+        lines = out.splitlines()
+        index = lines.index("check series-identities (order 40): FAIL")
+        assert lines[index + 1] == (
+            "  first counterexample: [x^20] R=326658445806000 xT'=326658445806020"
+        )
+        assert lines[-1] == "1 of 6 checks failed"
 
     @staticmethod
     def _bridge_failure(capsys, counterexample):
@@ -750,12 +786,13 @@ class TestVerify:
         code, out, _ = _run(
             capsys, "verify", "--max-n-formula", "4", "--max-n-brute", "2"
         )
-        # Both series checks report the self-check's message; the rest run on.
-        # The bridge solves G once, one order above n <= 4, inside rooted_gf.
+        # Both series checks report a self-check's message; the rest run on.
+        # The bridge reads R, whose closed-form check is the only check inside
+        # rooted_gf; series-identities solves and checks G through tree_gf.
         assert code == EXIT_MISMATCH
         assert out.splitlines() == [
             "check formula-vs-series (n<=4): FAIL",
-            "  first counterexample: G - 1 - x G^3 is nonzero at order 4",
+            "  first counterexample: x T' disagrees with x (2x - T) / (x - 3 T^2)",
             "check rooted-paper-sum-vs-lagrange-burmann (n<=4): PASS",
             "check formula-vs-bruteforce (n<=2): PASS",
             "check kreweras-vs-enumeration (N<=9): PASS",

@@ -189,8 +189,8 @@ class TestTreeGF:
         assert tree_gf(9) == (0,) + solve_ternary_gf(8)
 
     def test_corrupted_power_is_caught_without_a_check_of_its_own(self, monkeypatch):
-        # T and R are built from G, whose self-check recomputes G^3 as
-        # mul(square(G), G).
+        # T is built from G, whose self-check recomputes G^3 as
+        # mul(square(G), G); R's closed-form check uses both as well.
         for name, genuine in (("mul", mul), ("square", square)):
             with monkeypatch.context() as patch:
                 patch.setattr(chordforest.series, name, _off_by_one(genuine))
@@ -231,19 +231,62 @@ class TestRootedGF:
         x_times_2x_minus_t = (0,) + tuple(2 * a - b for a, b in zip(x, t[:41]))
         assert mul(r + (0,), x_minus_3t2) == x_times_2x_minus_t
 
-    @pytest.mark.parametrize("index", range(1, 11))
-    def test_wrong_tree_coefficient_is_caught(self, monkeypatch, index):
-        # The closed form equals x T' only when T satisfies x T = x^2 + T^3.
-        genuine = tree_gf
+    @staticmethod
+    def _wrong_ternary_coefficient(k):
+        """_ternary_coefficients with g_k off by one."""
+        genuine = chordforest.series._ternary_coefficients
 
         def off_by_one(order):
             coeffs = list(genuine(order))
-            coeffs[index] += 1
+            coeffs[k] += 1
             return tuple(coeffs)
 
-        monkeypatch.setattr(chordforest.series, "tree_gf", off_by_one)
+        return off_by_one
+
+    @pytest.mark.parametrize("index", range(1, 11))
+    def test_wrong_tree_coefficient_is_caught(self, monkeypatch, index):
+        # The closed form equals x T' only when T satisfies x T = x^2 + T^3.
+        # rooted_gf reads T as x times G's bare recurrence, so t_index is
+        # g_(index-1) there.
+        monkeypatch.setattr(
+            chordforest.series,
+            "_ternary_coefficients",
+            self._wrong_ternary_coefficient(index - 1),
+        )
         with pytest.raises(ConsistencyError, match="x T' disagrees with "):
             rooted_gf(10)
+
+    def test_every_coefficient_it_reads_is_checked_to_forty(self, monkeypatch):
+        # R's check is the only check inside rooted_gf: it must catch a
+        # wrong g_k for every k < order, each g_k that r_0..r_order reads
+        for order in range(1, 41):
+            for k in range(order):
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        chordforest.series,
+                        "_ternary_coefficients",
+                        self._wrong_ternary_coefficient(k),
+                    )
+                    with pytest.raises(ConsistencyError, match="x T' disagrees with "):
+                        rooted_gf(order)
+
+    def test_one_square_and_one_mul_per_call(self, monkeypatch):
+        # G's own check, another square and mul, is not run inside rooted_gf
+        calls = []
+
+        def counted(name, genuine):
+            def wrapper(*args):
+                calls.append(name)
+                return genuine(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(chordforest.series, "mul", counted("mul", mul))
+        monkeypatch.setattr(chordforest.series, "square", counted("square", square))
+        for order in (1, 10, 40):
+            calls.clear()
+            rooted_gf(order)
+            assert sorted(calls) == ["mul", "square"]
 
     @pytest.mark.parametrize("index", range(10))
     def test_wrong_derivative_coefficient_is_caught(self, monkeypatch, index):
