@@ -144,8 +144,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"rooted={table.rooted_by_trees[m]}"
         )
     if args.list:
-        # iter_forests walks b only up to the highest unmatched point and
-        # places the last chord by a label-set test, relabelling nothing.
         # Chord texts and size tails are made once, and lines go out a chunk
         # at a time: few write calls, and never the whole listing.
         text = {
@@ -156,6 +154,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         tails: dict[tuple[int, ...], str] = {}  # sizes -> " m=... sizes=...\n"
         write = sys.stdout.write
         lines: list[str] = []
+        listed = 0
         for chords, sizes in oracle.iter_forests(args.n, cap=cap):
             tail = tails.get(sizes)
             if tail is None:
@@ -163,8 +162,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             lines.append(",".join(map(text.__getitem__, chords)) + tail)
             if len(lines) == LIST_CHUNK_LINES:
                 write("".join(lines))
+                listed += len(lines)
                 lines.clear()
         write("".join(lines))
+        listed += len(lines)
+        # the sweep and the scan share no code, so each checks the other
+        if listed != table.total_forests:
+            raise ConsistencyError(
+                f"enumerate --list listed {listed} forests, "
+                f"but the scan counted {table.total_forests}"
+            )
     return EXIT_OK
 
 

@@ -263,26 +263,24 @@ def rooted_forest_paper_rows(max_n: int) -> list[list[int]]:
     R = x T' = x (2x - T) / (x - 3 T^2).  Expanding the closed form
     binomially and extracting coefficients yields
 
-        r(n, m) = C(2n, m-1) (S1 + S2) / m
+        r(n, m) = C(2n, m-1) S / m,
+        S = sum_{k=0..m} sum_{j=0..n-m}
+                (-1)^k C(m,k) C(m+j-1,j) 2^(m-k) 3^j [x^(n-m+j+k)] T^(2j+k).
 
-    with the alternating sums
-
-        S1 = sum_{k=0..m} sum_{j=0..n-m-1}
-                 (-1)^k C(m,k) C(m+j-1,j) 2^(m-k) 3^j [x^(n-m+j+k)] T^(2j+k),
-        S2 = sum_{k=0..m} (-1)^k C(m,k) C(n-1,n-m) 2^(m-k) 3^(n-m),
-
-    where S1 is empty for m = n.  S2's k-sum is (2-1)^m = 1 by the binomial
-    theorem, so S2 = C(n-1,n-m) 3^(n-m).  In S1, [x^(n-m+j+k)] T^(2j+k) is
+    The paper writes S as S1 + S2, with S2 = C(n-1,n-m) 3^(n-m) the term
+    j = n-m: there [x^(2j+k)] T^(2j+k) = 1, and the k-sum is (2-1)^m = 1.
+    Here it is one more term of the same sum.  [x^(n-m+j+k)] T^(2j+k) is
     entry 2j+k of diagonal d = n-m-j of the table I_0[d][o] = [x^(o+d)] T^o,
     and the k-factor is the coefficient list of (2-y)^m.  So the k-sum is an
     m-th finite difference, which Pascal's rule builds one step per m:
 
         I_m[d][o] = 2 I_(m-1)[d][o] - I_(m-1)[d][o+1],
-        S1 = sum_{j=0..n-m-1} C(m+j-1,j) 3^j I_m[n-m-j][2j].
+        S = sum_{j=0..n-m} C(m+j-1,j) 3^j I_m[n-m-j][2j].
 
-    I_0[d] has 2(max_n-d) + 1 entries and each step drops two, so I_m[d]
-    keeps 2(max_n-m-d) + 1, up to the index 2(n-m-d) <= 2(max_n-m-d) that S1
-    reads; only the diagonals d <= max_n-m are stepped.
+    Diagonal 0 is all ones, [x^o] T^o = 1, and Pascal's rule keeps it so:
+    2 - 1 = 1.  I_0[d] has 2(max_n-d) + 1 entries and each step drops two,
+    so I_m[d] keeps 2(max_n-m-d) + 1, up to the index 2(n-m-d) <=
+    2(max_n-m-d) that S reads; only the diagonals d <= max_n-m are stepped.
     The weights C(m+j-1,j) 3^j form one ratio chain per m, each step an
     exact division: w_j = w_(j-1) 3 (m+j-1) / j, about max_n^2/2 steps in all.
     The rows take about max_n^2 :func:`lagrange_coeff` calls, one per table
@@ -292,10 +290,10 @@ def rooted_forest_paper_rows(max_n: int) -> list[list[int]]:
         raise ValueError(
             f"rooted_forest_paper_rows requires max_n >= 1, got max_n={max_n}"
         )
-    # diagonals[d] = I_m[d] from I_0[d][o] = [x^(o+d)] T^o; diagonals[0] is never read
-    diagonals = [[]] + [
+    # diagonals[d] = I_m[d] from I_0[d][o] = [x^(o+d)] T^o
+    diagonals = [
         [lagrange_coeff(a, a + d) for a in range(2 * (max_n - d) + 1)]
-        for d in range(1, max_n)
+        for d in range(max_n)
     ]
     rows = [[0] * n for n in range(1, max_n + 1)]
     for m in range(1, max_n + 1):
@@ -304,12 +302,11 @@ def rooted_forest_paper_rows(max_n: int) -> list[list[int]]:
             for diagonal in diagonals[: max_n - m + 1]
         ]
         weights = [1]  # weights[j] = C(m+j-1, j) 3^j
-        for j in range(1, max_n - m):
+        for j in range(1, max_n - m + 1):
             weights.append(_exact_div(weights[-1] * 3 * (m + j - 1), j))
         for n in range(m, max_n + 1):
-            sum1 = sum(weights[j] * diagonals[n - m - j][2 * j] for j in range(n - m))
-            sum2 = binomial(n - 1, n - m) * 3 ** (n - m)
-            value = _exact_div(binomial(2 * n, m - 1) * (sum1 + sum2), m)
+            total = sum(weights[j] * diagonals[n - m - j][2 * j] for j in range(n - m + 1))
+            value = _exact_div(binomial(2 * n, m - 1) * total, m)
             if value < 0:
                 raise ConsistencyError(
                     f"rooted_forest_paper_rows({max_n}): r({n}, {m}) evaluated to {value} < 0"

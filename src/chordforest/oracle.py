@@ -11,13 +11,14 @@ lists the forest diagrams themselves.  Each chord (a, b) but the last
 relabels the components it crosses with its left end a, so meeting label a
 again is a cycle, and b stops at the highest unmatched point.  The last
 chord relabels nothing: it closes a cycle iff a label repeats among the
-right ends it spans.  The deliberately dumb sweep over all (2n-1)!! pairings
-(:func:`enumerate_diagrams`, with :func:`~.diagrams.classify_chords` on
-each one) is kept as the test oracle of both.  The non-crossing partitions
-of [N] come from a stack sweep that visits only them, and one sweep of [N]
-tallies every ground set up to N (:func:`noncrossing_partition_tallies`;
-the last tally is :func:`enumerate_noncrossing_partitions`).  Forest types
-are the partitions of n into m parts.  Enumeration order is deterministic, and
+right ends it spans.  The deliberately dumb sweep, a generator of all
+(2n-1)!! pairings (:func:`enumerate_diagrams`) with
+:func:`~.diagrams.classify_chords` on each one, is kept as the test oracle
+of both.  The non-crossing partitions of [N] come from a stack sweep that
+visits only them, and one sweep of [N] tallies every ground set up to N
+(:func:`noncrossing_partition_tallies`; the last tally is
+:func:`enumerate_noncrossing_partitions`).  Forest types are the
+partitions of n into m parts.  Enumeration order is deterministic, and
 sizes are guarded by caps so a typo'd n fails fast instead of running for
 hours; pass a larger ``cap`` explicitly to go above a default.
 """
@@ -25,7 +26,7 @@ hours; pass a larger ``cap`` explicitly to go above a default.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 # unused here, but bound: perfbench's tracer rebinds oracle.classify_chords
 from .diagrams import Chord, classify_chords  # noqa: F401
@@ -60,39 +61,27 @@ def _check_cap(n: int, cap: int, what: str) -> None:
         )
 
 
-def _iter_pairings(points: tuple[int, ...]) -> Iterator[tuple[Chord, ...]]:
-    """All perfect matchings of the sorted point tuple.
+def enumerate_diagrams(n: int, cap: int = DIAGRAM_CAP) -> Iterator[tuple[Chord, ...]]:
+    """All (2n-1)!! diagrams of size n, once each, as canonical chord tuples.
 
     The smallest unmatched point is paired with each larger unmatched point
-    in ascending order, so the output order is deterministic and every chord
-    list arrives in canonical form.
+    in ascending order, so the order is deterministic.  The domain and the
+    cap are checked when called, not when first iterated.
     """
-    if not points:
-        yield ()
-        return
-    first = points[0]
-    rest = points[1:]
-    for index in range(len(rest)):
-        chord = (first, rest[index])
-        for tail in _iter_pairings(rest[:index] + rest[index + 1 :]):
-            yield (chord,) + tail
-
-
-def enumerate_diagrams(
-    n: int,
-    visit: Callable[[tuple[Chord, ...]], None] | None = None,
-    cap: int = DIAGRAM_CAP,
-) -> int:
-    """Visit all (2n-1)!! diagrams of size n once each; return the visit count."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_cap(n, cap, "diagram enumeration")
-    count = 0
-    for chords in _iter_pairings(tuple(range(1, 2 * n + 1))):
-        count += 1
-        if visit is not None:
-            visit(chords)
-    return count
+
+    def pairings(points: tuple[int, ...]) -> Iterator[tuple[Chord, ...]]:
+        if not points:
+            yield ()
+            return
+        first, rest = points[0], points[1:]
+        for index, second in enumerate(rest):
+            for tail in pairings(rest[:index] + rest[index + 1 :]):
+                yield ((first, second),) + tail
+
+    return pairings(tuple(range(1, 2 * n + 1)))
 
 
 class CountTable(
@@ -116,7 +105,7 @@ def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
     """Every forest diagram of size n with its tree sizes, in enumeration order.
 
     Yields ``(chords, sizes)``: the canonical chord tuple and the chords per
-    tree, ascending, in the order :func:`enumerate_diagrams` meets the
+    tree, ascending, in the order :func:`enumerate_diagrams` yields the
     forests.
 
     The sweep is depth-first and cycle-pruned.  Chords are placed in

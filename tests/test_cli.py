@@ -7,6 +7,7 @@ its reader.
 
 import errno
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -382,6 +383,19 @@ class TestEnumerate:
             "98f36336a463ad5cddc6f9d5cb1754a1e8af894e66312bca27e26429b3756253",
             1518028,
         )
+
+    def test_listing_short_of_the_scan_exits_mismatch(self, capsys, monkeypatch):
+        sweep = chordforest.oracle.iter_forests
+
+        def one_short(*args, **kwargs):
+            return itertools.islice(sweep(*args, **kwargs), 1, None)
+
+        monkeypatch.setattr(chordforest.oracle, "iter_forests", one_short)
+        code, out, err = _run(capsys, "enumerate", "--n", "4", "--list")
+        assert code == EXIT_MISMATCH
+        assert "total-forests=82" in out.splitlines()
+        assert sum("sizes=" in line for line in out.splitlines()) == 81
+        assert err == "error: enumerate --list listed 81 forests, but the scan counted 82\n"
 
     # the listing visits every diagram and is capped at 8; the scan's tallies at 12
     ABOVE_CAP = ((("--n", "9", "--list"), 9, 8), (("--n", "13"), 13, 12))

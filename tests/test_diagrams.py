@@ -25,12 +25,6 @@ from crossing_reference import blocks_cross, intersection_graph
 FIVE_CHORD_PAIRS = [(1, 8), (2, 9), (3, 5), (7, 10), (4, 6)]
 
 
-def _all_diagrams(n):
-    collected = []
-    enumerate_diagrams(n, collected.append)
-    return collected
-
-
 def _supports(diagram):
     """Endpoint sets of the diagram's components, as sorted blocks sorted by minimum."""
     grouped = {}
@@ -142,14 +136,14 @@ class TestClassify:
 
     def test_unique_non_forest_among_size_three(self):
         non_forests = [
-            d for d in _all_diagrams(3) if not classify_chords(d).is_forest
+            d for d in enumerate_diagrams(3) if not classify_chords(d).is_forest
         ]
         # the one diagram whose three chords pairwise cross
         assert non_forests == [((1, 4), (2, 5), (3, 6))]
 
     def test_edge_count_rule_agrees_with_bfs_cycle_search(self):
         for n in range(1, 7):
-            for diagram in _all_diagrams(n):
+            for diagram in enumerate_diagrams(n):
                 shape = classify_chords(diagram)
                 graph = intersection_graph(diagram)
                 assert shape.is_forest == _is_acyclic(n, graph.edges)
@@ -158,7 +152,7 @@ class TestClassify:
                     assert shape.tree_sizes == graph.component_sizes
 
     def test_trees_have_one_component(self):
-        for diagram in _all_diagrams(4):
+        for diagram in enumerate_diagrams(4):
             shape = classify_chords(diagram)
             assert shape.is_tree == (shape.is_forest and shape.component_count == 1)
 
@@ -206,7 +200,7 @@ class TestSupportPartition:
 
     def test_sweep_never_crosses_and_blocks_double_tree_sizes(self):
         for n in range(1, 7):
-            for diagram in _all_diagrams(n):
+            for diagram in enumerate_diagrams(n):
                 blocks = _supports(diagram)
                 assert _crossing_supports(blocks) == []
                 graph = intersection_graph(diagram)
@@ -228,7 +222,7 @@ class TestTextFormat:
 
     def test_round_trip_all_small_diagrams(self):
         for n in range(1, 6):
-            for diagram in _all_diagrams(n):
+            for diagram in enumerate_diagrams(n):
                 assert parse_diagram(format_chords(diagram)) == diagram
 
     def test_parse_errors(self):

@@ -44,13 +44,12 @@ def _dumb_forests(n):
     pairing: its forests as (chords, tree sizes) in enumeration order, and
     the number of pairings."""
     forests = []
-
-    def keep_forest(chords):
+    total = 0
+    for chords in enumerate_diagrams(n):
+        total += 1
         shape = classify_chords(chords)
         if shape.is_forest:
             forests.append((chords, shape.tree_sizes))
-
-    total = enumerate_diagrams(n, keep_forest)
     return forests, total
 
 
@@ -81,42 +80,38 @@ def _forest_tally(n):
 
 class TestEnumerateDiagrams:
     def test_visit_counts(self):
-        assert enumerate_diagrams(1) == 1
-        assert enumerate_diagrams(3) == 15
-        assert enumerate_diagrams(5) == 945
+        assert sum(1 for _ in enumerate_diagrams(1)) == 1
+        assert sum(1 for _ in enumerate_diagrams(3)) == 15
+        assert sum(1 for _ in enumerate_diagrams(5)) == 945
         for n in range(1, 7):
-            assert enumerate_diagrams(n) == double_factorial_pairings(n)
+            assert sum(1 for _ in enumerate_diagrams(n)) == double_factorial_pairings(n)
 
     def test_visits_are_distinct_valid_matchings(self):
         for n in range(1, 5):
-            seen = set()
-
-            def check(diagram):
-                seen.add(diagram)
+            visited = list(enumerate_diagrams(n))
+            for diagram in visited:
                 assert len(diagram) == n
                 covered = sorted(p for chord in diagram for p in chord)
                 assert covered == list(range(1, 2 * n + 1))
                 for a, b in diagram:
                     assert a < b
-
-            count = enumerate_diagrams(n, check)
-            assert len(seen) == count == double_factorial_pairings(n)
+                assert list(diagram) == sorted(diagram)
+            # distinct, and in lexicographic order
+            assert visited == sorted(set(visited))
+            assert len(visited) == double_factorial_pairings(n)
 
     def test_deterministic_order(self):
-        visited = []
-        enumerate_diagrams(3, visited.append)
+        visited = list(enumerate_diagrams(3))
         assert visited[0] == ((1, 2), (3, 4), (5, 6))
         assert visited[-1] == ((1, 6), (2, 5), (3, 4))
-        second = []
-        enumerate_diagrams(3, second.append)
-        assert visited == second
+        assert visited == list(enumerate_diagrams(3))
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             enumerate_diagrams(9)
         with pytest.raises(EnumerationCapError):
             enumerate_diagrams(3, cap=2)
-        assert enumerate_diagrams(3, cap=3) == 15
+        assert sum(1 for _ in enumerate_diagrams(3, cap=3)) == 15
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -150,8 +145,7 @@ class TestBruteForceCounts:
     def test_rooted_tally_is_product_of_tree_sizes(self):
         # recompute the rooted tally from classify_chords directly
         rooted = {}
-
-        def accumulate(diagram):
+        for diagram in enumerate_diagrams(4):
             shape = classify_chords(diagram)
             if shape.is_forest:
                 product = 1
@@ -160,8 +154,6 @@ class TestBruteForceCounts:
                 rooted[shape.component_count] = (
                     rooted.get(shape.component_count, 0) + product
                 )
-
-        enumerate_diagrams(4, accumulate)
         assert rooted == brute_force_counts(4).rooted_by_trees
 
     def test_matches_dumb_sweep_up_to_seven(self):
