@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -25,7 +24,7 @@ from collections.abc import Iterable, Iterator
 
 from . import diagrams, formulas, oracle
 from .errors import ConsistencyError
-from .series import mul, rooted_gf, solve_ternary_gf, tree_gf, tree_powers
+from .series import rooted_gf, rooted_powers, solve_ternary_gf, tree_gf, tree_powers
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -121,6 +120,13 @@ def cmd_series(args: argparse.Namespace) -> int:
         gf = tree_gf(max(args.order, 1))[: args.order + 1]
     else:
         gf = rooted_gf(max(args.order, 1))[: args.order + 1]
+    # G = 1 + x G^3 starts at 1; T = x G and R = x T' start at 0
+    constant = 1 if args.which == "G" else 0
+    if len(gf) != args.order + 1 or gf[0] != constant:
+        raise ConsistencyError(
+            f"series {args.which} to order {args.order} is not {args.order + 1} "
+            f"coefficients from {constant}"
+        )
     for index, coefficient in enumerate(gf):
         print(f"{index},{coefficient}")
     return EXIT_OK
@@ -135,6 +141,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
     cap = max(args.n, cap)
     table = oracle.brute_force_counts(args.n, cap=cap)
+    _check_scan(table, args.n)
     print(f"n={table.n}")
     print(f"total-diagrams={table.total_diagrams}")
     print(f"total-forests={table.total_forests}")
@@ -151,28 +158,66 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             for a in range(1, 2 * args.n)
             for b in range(a + 1, 2 * args.n + 1)
         }
-        tails: dict[tuple[int, ...], str] = {}  # sizes -> " m=... sizes=...\n"
+        # sizes -> [" m=... sizes=...\n", lines listed with those sizes]
+        tails: dict[tuple[int, ...], list] = {}
         write = sys.stdout.write
         lines: list[str] = []
-        listed = 0
         for chords, sizes in oracle.iter_forests(args.n, cap=cap):
             tail = tails.get(sizes)
             if tail is None:
-                tail = tails[sizes] = f" m={len(sizes)} sizes={','.join(map(str, sizes))}\n"
-            lines.append(",".join(map(text.__getitem__, chords)) + tail)
+                text_of_sizes = f" m={len(sizes)} sizes={','.join(map(str, sizes))}\n"
+                tail = tails[sizes] = [text_of_sizes, 0]
+            tail[1] += 1
+            lines.append(",".join(map(text.__getitem__, chords)) + tail[0])
             if len(lines) == LIST_CHUNK_LINES:
                 write("".join(lines))
-                listed += len(lines)
                 lines.clear()
         write("".join(lines))
-        listed += len(lines)
-        # the sweep and the scan share no code, so each checks the other
-        if listed != table.total_forests:
-            raise ConsistencyError(
-                f"enumerate --list listed {listed} forests, "
-                f"but the scan counted {table.total_forests}"
-            )
+        _check_listing(table, tails)
     return EXIT_OK
+
+
+def _check_scan(table: oracle.CountTable, n: int) -> None:
+    """The scan's table of n against the closed forms, before it is printed."""
+    forests = dict(enumerate(formulas.forest_row(n), start=1))
+    rooted = {m: formulas.rooted_forest_count(n, m) for m in forests}
+    for name, scanned, closed in (
+        ("n", table.n, n),
+        ("total-diagrams", table.total_diagrams, formulas.double_factorial_pairings(n)),
+        ("forests by m", table.forests_by_trees, forests),
+        ("rooted by m", table.rooted_by_trees, rooted),
+    ):
+        if scanned != closed:
+            raise ConsistencyError(
+                f"enumerate --n {n}: the scan's {name} is {scanned}, not {closed}"
+            )
+
+
+def _check_listing(table: oracle.CountTable, tails: dict[tuple[int, ...], list]) -> None:
+    """The lines listed, tallied by m and weighted by the product of the
+    sizes, against the scan's forests and rooted forests by m.  The sweep and
+    the scan share no code, so each checks the other."""
+    forests: dict[int, int] = {}
+    rooted: dict[int, int] = {}
+    for sizes, (_, listed) in tails.items():
+        m = len(sizes)
+        forests[m] = forests.get(m, 0) + listed
+        rooted[m] = rooted.get(m, 0) + listed * math.prod(sizes)
+    listed = sum(forests.values())
+    if listed != table.total_forests:
+        raise ConsistencyError(
+            f"enumerate --list listed {listed} forests, "
+            f"but the scan counted {table.total_forests}"
+        )
+    for name, tallied, scanned in (
+        ("forests", forests, table.forests_by_trees),
+        ("rooted forests", rooted, table.rooted_by_trees),
+    ):
+        if tallied != scanned:
+            raise ConsistencyError(
+                f"enumerate --list listed {dict(sorted(tallied.items()))} {name} by m, "
+                f"but the scan counted {scanned}"
+            )
 
 
 # -- verify ----------------------------------------------------------------
@@ -195,8 +240,9 @@ def _series_vs_formula(max_n: int, rooted_table) -> Iterator[tuple]:
     meet :func:`formulas.forest_count` first; then ``tree_count(n)`` and each
     entry of ``tree_counts(max_n)`` meet [x^n] T, and each ``forest_row(n)``
     meets the same f cells, so every kernel that ``count`` and ``table``
-    print t and f from is compared.  R has no equation like T's, so its
-    powers stay repeated truncated products.  The r cells are read from
+    print t and f from is compared.  R's powers come from
+    :func:`rooted_powers`, which steps them by R's own cubic, so no power
+    of either series is a truncated product.  The r cells are read from
     ``rooted_table()``, the table that :func:`_rooted_forms` shares.  T
     comes from R's solve, t_n = r_n / n, so G is solved once.
     """
@@ -229,8 +275,7 @@ def _series_vs_formula(max_n: int, rooted_table) -> Iterator[tuple]:
         for m, (count, series) in enumerate(zip(counts, row, strict=True), start=1):
             yield f"f(n={n}, m={m})", count, series
     table = rooted_table()
-    r_powers = itertools.accumulate(itertools.repeat(r, max_n - 1), mul, initial=r)
-    for m, power in enumerate(r_powers, start=1):
+    for m, power in enumerate(rooted_powers(r), start=1):
         for n in range(m, max_n + 1):
             yield f"r(n={n}, m={m})", table[n - 1][m - 1], bridged(power, n, m)
 

@@ -253,6 +253,8 @@ def rooted_forest_rows(max_n: int) -> Iterator[list[int]]:
                 f"rooted_forest_rows({max_n}) ends off the cell form r({max_n}, m)"
             )
         yield row
+    if n != max_n:
+        raise ConsistencyError(f"rooted_forest_rows({max_n}) ended at row {n}")
 
 
 def rooted_forest_paper_rows(max_n: int) -> list[list[int]]:

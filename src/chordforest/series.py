@@ -18,6 +18,11 @@ of its own, so the self-checks, built from :func:`mul` and :func:`square`,
 share no code with it.  Each solve is checked once: :func:`solve_ternary_gf`
 checks G's equation, and :func:`rooted_gf` checks only R's closed form,
 which holds only if its T satisfies x T = x^2 + T^3.
+
+T and R are both algebraic, so their powers need no products past the
+square: :func:`tree_powers` steps T's by x T = x^2 + T^3, and
+:func:`rooted_powers` steps R's by R's cubic
+(4 - 27x) R^3 = x (1 - 6x) R + x^2 (8x - 1).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .errors import ConsistencyError
 __all__ = [
     "mul",
     "rooted_gf",
+    "rooted_powers",
     "solve_ternary_gf",
     "square",
     "tree_gf",
@@ -153,6 +159,47 @@ def tree_powers(t: tuple[int, ...]) -> list[tuple[int, ...]]:
     while len(powers) <= n:
         lower, power = powers[-3], powers[-2]
         powers.append((0, power[0], *map(operator.sub, power[1:n], lower[: n - 1])))
+    return powers[1 : n + 1]
+
+
+def rooted_powers(r: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """[R, R^2, ..., R^N] modulo x^(N+1), for the series R known to order N.
+
+    R is algebraic, like T, and satisfies the cubic
+
+        (4 - 27x) R^3 = x (1 - 6x) R + x^2 (8x - 1).
+
+    It comes from eliminating T between x T = x^2 + T^3 and
+    R (x - 3 T^2) = x (2x - T), the two identities :func:`rooted_gf`
+    checks.  In the parametrisation x = w/(1+w)^3, where G = 1 + w and
+    T = w/(1+w)^2, it reads R = w (1-w) / ((1+w)^2 (1-2w)), and both sides
+    of the cubic are the same rational function of w.  The cubic times R^k
+    gives, for P = R^(k+3), B = R^(k+1) and C = R^k, with p_i = 0 for
+    i < k + 3,
+
+        4 p_i = 27 p_(i-1) + b_(i-1) - 6 b_(i-2) + 8 c_(i-3) - c_(i-2),
+
+    so each power after R^2 costs one pass of small-integer steps instead
+    of a product.  Every division by 4 is checked, and a remainder raises
+    :class:`ConsistencyError`.  Like :func:`tree_powers`, this reads only
+    ``r`` and :func:`square`: no binomial, no Lagrange inversion and no
+    closed-form count, so the powers stay on the series route, and a wrong
+    coefficient of ``r`` carries into them.
+    """
+    n = len(r) - 1
+    powers = [(1,) + (0,) * n, r, square(r)]
+    for k in range(n - 2):
+        c, b = powers[k], powers[k + 1]
+        p = [0] * (k + 3)
+        previous = 0
+        for i in range(k + 3, n + 1):
+            previous, remainder = divmod(
+                27 * previous + b[i - 1] - 6 * b[i - 2] + 8 * c[i - 3] - c[i - 2], 4
+            )
+            if remainder:
+                raise ConsistencyError(f"R^{k + 3} has a non-integer coefficient at x^{i}")
+            p.append(previous)
+        powers.append(tuple(p))
     return powers[1 : n + 1]
 
 

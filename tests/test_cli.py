@@ -7,6 +7,7 @@ its reader.
 
 import errno
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -46,6 +47,17 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _source_mutant(function, old, new):
+    """``function`` recompiled in its module's namespace with the one
+    occurrence of ``old`` in its source replaced by ``new``: a planted fault
+    of the kind a mutation run makes."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
 
 
 class TestCount:
@@ -118,6 +130,18 @@ class TestCount:
 
 
 class TestTable:
+    def test_extra_rooted_row_exits_mismatch(self, capsys, monkeypatch):
+        # the last-row check passes at n = max_n; the row after it must not
+        mutant = _source_mutant(
+            chordforest.formulas.rooted_forest_rows,
+            "range(1, max_n + 1)",
+            "range(1, max_n + 2)",
+        )
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_rows", mutant)
+        code, _, err = _run(capsys, "table", "--kind", "r", "--max-n", "5")
+        assert code == EXIT_MISMATCH
+        assert err == "error: rooted_forest_rows(5) ended at row 6\n"
+
     def test_csv_small_forest_table(self, capsys):
         code, out, _ = _run(capsys, "table", "--kind", "f", "--max-n", "3")
         assert code == EXIT_OK
@@ -300,6 +324,21 @@ class TestSeries:
         assert code == EXIT_OK
         assert out.splitlines() == ["0,0", "1,1", "2,2", "3,9"]
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("(0,) + solve_ternary_gf", "(1,) + solve_ternary_gf"), ("order - 1", "order - 2")],
+    )
+    def test_wrong_constant_term_or_length_exits_mismatch(self, capsys, monkeypatch, old, new):
+        # verify's series-identities check compares r_n with n t_n, which
+        # holds at n = 0 whatever t_0 is, and reads only the first 41 terms
+        monkeypatch.setattr(
+            chordforest.cli, "tree_gf", _source_mutant(chordforest.series.tree_gf, old, new)
+        )
+        code, out, err = _run(capsys, "series", "--which", "T", "--order", "5")
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert err == "error: series T to order 5 is not 6 coefficients from 0\n"
+
     def test_unknown_series_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["series", "--which", "Q", "--order", "3"])
@@ -396,6 +435,64 @@ class TestEnumerate:
         assert "total-forests=82" in out.splitlines()
         assert sum("sizes=" in line for line in out.splitlines()) == 81
         assert err == "error: enumerate --list listed 81 forests, but the scan counted 82\n"
+
+    def test_listing_with_wrong_sizes_exits_mismatch(self, capsys, monkeypatch):
+        # every line keeps its chords and its m; the tree that holds the last
+        # chord is given n plus the others' sizes, so the rooted tally moves
+        mutant = _source_mutant(
+            chordforest.oracle.iter_forests, "n - sum(sizes)", "n + sum(sizes)"
+        )
+        monkeypatch.setattr(chordforest.oracle, "iter_forests", mutant)
+        code, out, err = _run(capsys, "enumerate", "--n", "3", "--list")
+        assert code == EXIT_MISMATCH
+        assert sum("sizes=" in line for line in out.splitlines()) == 14
+        assert err == (
+            "error: enumerate --list listed {1: 9, 2: 42, 3: 25} rooted forests by m, "
+            "but the scan counted {1: 9, 2: 12, 3: 5}\n"
+        )
+
+    def test_scan_of_another_n_exits_mismatch(self, capsys, monkeypatch):
+        genuine = chordforest.oracle.brute_force_counts
+        monkeypatch.setattr(
+            chordforest.oracle, "brute_force_counts", lambda n, cap: genuine(n - 1, cap)
+        )
+        code, out, err = _run(capsys, "enumerate", "--n", "6")
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert err == "error: enumerate --n 6: the scan's n is 5, not 6\n"
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("total_diagrams", "total-diagrams is 106, not 105"),
+            (
+                "forests_by_trees",
+                "forests by m is {1: 13, 2: 28, 3: 28, 4: 14}, "
+                "not {1: 12, 2: 28, 3: 28, 4: 14}",
+            ),
+            (
+                "rooted_by_trees",
+                "rooted by m is {1: 49, 2: 88, 3: 56, 4: 14}, "
+                "not {1: 48, 2: 88, 3: 56, 4: 14}",
+            ),
+        ],
+    )
+    def test_scan_off_the_closed_forms_exits_mismatch(
+        self, capsys, monkeypatch, field, message
+    ):
+        genuine = chordforest.oracle.brute_force_counts
+
+        def corrupted(n, cap):
+            table = genuine(n, cap)
+            value = getattr(table, field)
+            value = value + 1 if isinstance(value, int) else {**value, 1: value[1] + 1}
+            return table._replace(**{field: value})
+
+        monkeypatch.setattr(chordforest.oracle, "brute_force_counts", corrupted)
+        code, out, err = _run(capsys, "enumerate", "--n", "4")
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert err == f"error: enumerate --n 4: the scan's {message}\n"
 
     # the listing visits every diagram and is capped at 8; the scan's tallies at 12
     ABOVE_CAP = ((("--n", "9", "--list"), 9, 8), (("--n", "13"), 13, 12))
@@ -592,16 +689,17 @@ class TestVerify:
         )
 
     def test_inexact_series_quotient_is_shown_as_a_fraction(self, capsys, monkeypatch):
-        genuine = chordforest.cli.mul
+        genuine = chordforest.cli.rooted_powers
 
-        def corrupted(a, b):
+        def corrupted(r):
             # [x^4] R^3 is 6; C(8, 2) * 7 / 3 is not an integer
-            product = genuine(a, b)
-            if product[:5] == (0, 0, 0, 1, 6):
-                product = product[:4] + (product[4] + 1,) + product[5:]
-            return product
+            powers = genuine(r)
+            cube = powers[2]
+            assert cube[:5] == (0, 0, 0, 1, 6)
+            powers[2] = cube[:4] + (cube[4] + 1,) + cube[5:]
+            return powers
 
-        monkeypatch.setattr(chordforest.cli, "mul", corrupted)
+        monkeypatch.setattr(chordforest.cli, "rooted_powers", corrupted)
         self._failure(
             capsys, "formula-vs-series (n<=4)", "r(n=4, m=3) formula=56 series=196/3"
         )

@@ -76,10 +76,10 @@ def _rows_plus_one(genuine, n, m):
 
 
 def _power_plus_one(genuine, m, n):
-    """tree_powers with [x^n] T^m off by one."""
+    """tree_powers or rooted_powers with [x^n] of the m-th power off by one."""
 
-    def corrupted(t):
-        powers = genuine(t)
+    def corrupted(series):
+        powers = genuine(series)
         power = list(powers[m - 1])
         power[n] += 1
         powers[m - 1] = tuple(power)
@@ -91,7 +91,7 @@ def _power_plus_one(genuine, m, n):
 # (module, name, corruption of the genuine function, {failing check: first
 # counterexample}); every other check must pass
 ROWS = [
-    (chordforest.cli, "mul", lambda f: _plus_one(f, 5), {
+    (chordforest.cli, "rooted_powers", lambda f: _power_plus_one(f, 2, 5), {
         BRIDGE: "r(n=5, m=2) formula=660 series=665",
     }),
     (chordforest.series, "mul", lambda f: _plus_one(f, 5), {

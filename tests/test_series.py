@@ -2,6 +2,7 @@
 the generating functions against closed forms they were not built from.
 """
 
+import itertools
 import math
 import operator
 import types
@@ -22,6 +23,7 @@ from chordforest.formulas import (
 from chordforest.series import (
     mul,
     rooted_gf,
+    rooted_powers,
     solve_ternary_gf,
     square,
     tree_gf,
@@ -211,6 +213,41 @@ class TestTreePowers:
         wrong = t[:2] + (t[2] + 1,) + t[3:]
         for power, genuine in zip(tree_powers(wrong), tree_powers(t), strict=True):
             assert power != genuine
+
+
+class TestRootedPowers:
+    def test_equals_repeated_mul_to_forty(self):
+        for order in range(1, 41):
+            r = rooted_gf(order)
+            repeated = itertools.accumulate(itertools.repeat(r, order - 1), mul, initial=r)
+            assert rooted_powers(r) == list(repeated)
+
+    def test_cubic_holds_at_sixty(self):
+        # (4 - 27x) R^3 = x (1 - 6x) R + x^2 (8x - 1), by mul and square alone
+        r = rooted_gf(60)
+        zeros = (0,) * 60
+        left = mul((4, -27) + zeros, mul(square(r), r))
+        right = mul((0, 1, -6) + zeros, r)
+        right = tuple(map(operator.add, right, (0, 0, -1, 8) + zeros))
+        assert left == right
+
+    @pytest.mark.parametrize("index", range(1, 11))
+    def test_wrong_coefficient_raises_or_reaches_every_power(self, index):
+        # the recurrence steps the R it is given, not an R of its own
+        r = rooted_gf(12)
+        wrong = r[:index] + (r[index] + 1,) + r[index + 1 :]
+        try:
+            powers = rooted_powers(wrong)
+        except ConsistencyError:
+            return
+        for power, genuine in zip(powers, rooted_powers(r), strict=True):
+            assert power != genuine
+
+    def test_inexact_step_names_the_power_and_the_index(self):
+        r = rooted_gf(12)
+        wrong = r[:3] + (r[3] + 1,) + r[4:]
+        with pytest.raises(ConsistencyError, match=r"^R\^3 has a non-integer coefficient at x\^4$"):
+            rooted_powers(wrong)
 
 
 class TestRootedGF:
