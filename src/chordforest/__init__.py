@@ -33,7 +33,6 @@ from .oracle import (
     CountTable,
     brute_force_counts,
     enumerate_diagrams,
-    enumerate_noncrossing_partitions,
     enumerate_types,
 )
 from .series import rooted_gf, solve_ternary_gf, tree_gf

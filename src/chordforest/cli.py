@@ -343,7 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"--max-n-brute {args.max_n_brute} exceeds the enumeration cap "
             f"of {oracle.SCAN_CAP}"
         )
-    # Both r checks read one table of rooted_forest_rows, one u chain per m,
+    # Both r checks read one table of rooted_forest_rows, one s chain per m,
     # built by whichever runs first; the cache lives for this call only.
     @functools.cache
     def rooted_table() -> list[list[int]]:

@@ -175,28 +175,31 @@ def rooted_forest_count(n: int, m: int) -> int:
     Combinatorics*, Thm A.2), [x^n] H(w) = [w^n] H(w) phi^(n-1) (phi - w phi'),
     with phi - w phi' = (1+w)^2 (1-2w), gives
 
-        [x^n] R^m = [w^(n-m)] u(w) (1+w)^(3n-1-2m),    u(w) = (1-w)^m (1-2w)^(1-m),
+        [x^n] R^m = [w^(n-m)] s(w) (1+w)^(3n-1),
+        s(w) = (R/w)^m (1-2w) = (1-w)^m (1+w)^(-2m) (1-2w)^(1-m),
 
-    so r(n, m) = C(2n, m-1)/m * sum_{k=0..n-m} u_k C(3n-1-2m, n-m-k), one
-    convolution of length n-m+1.  From u'/u = -m/(1-w) + 2(m-1)/(1-2w),
-    (1 - 3w + 2w^2) u' = (m - 2 + 2w) u, whose coefficient of w^k is
+    so r(n, m) = C(2n, m-1)/m * sum_{k=0..n-m} s_k C(3n-1, n-m-k), one
+    convolution of length n-m+1.  From s'/s = -m/(1-w) - 2m/(1+w) +
+    2(m-1)/(1-2w), (1 - 2w - w^2 + 2w^3) s' = (-m - 2 + 7mw + (2-4m) w^2) s,
+    whose coefficient of w^k is
 
-        (k+1) u_(k+1) = (3k+m-2) u_k - (2k-4) u_(k-1),    u_0 = 1, u_(-1) = 0.
+        (k+1) s_(k+1) = (2k-m-2) s_k + (k-1+7m) s_(k-1) + (6-4m-2k) s_(k-2),
 
-    u has integer coefficients, so each step of this recurrence, and of
-    C(a, j) = C(a, j-1) (a-j+1) / j, is an exact division.  The paper's
-    double sum, :func:`rooted_forest_paper_rows`, is the independent check.
+    with s_0 = 1 and s_(-1) = s_(-2) = 0.  s has integer coefficients, so
+    each step of this recurrence, and of C(a, j) = C(a, j-1) (a-j+1) / j, is
+    an exact division.  The paper's double sum,
+    :func:`rooted_forest_paper_rows`, is the independent check.
     """
     if m < 1 or m > n:
         raise ValueError(
             f"rooted_forest_count requires 1 <= m <= n, got n={n}, m={m}"
         )
-    u = [1]
-    _extend_u(u, m, n - m)
-    top = 3 * n - 1 - 2 * m
+    s = [1]
+    _extend_s(s, m, n - m)
+    top = 3 * n - 1
     total = 0
     choose = 1  # C(top, j)
-    for j, coefficient in enumerate(reversed(u)):
+    for j, coefficient in enumerate(reversed(s)):
         if j:
             choose = _exact_div(choose * (top - j + 1), j)
         total += coefficient * choose
@@ -206,44 +209,41 @@ def rooted_forest_count(n: int, m: int) -> int:
     return value
 
 
-def _extend_u(u: list[int], m: int, steps: int) -> None:
-    """Append the next ``steps`` coefficients of u(w) = (1-w)^m (1-2w)^(1-m) to ``u``."""
-    start = len(u) - 1
-    previous = u[start - 1] if start else 0
-    for k in range(start, start + steps):
-        u.append(_exact_div((3 * k + m - 2) * u[k] - (2 * k - 4) * previous, k + 1))
-        previous = u[k]
+def _extend_s(s: list[int], m: int, steps: int) -> None:
+    """Append the next ``steps`` coefficients of s(w) = (R/w)^m (1-2w) to ``s``."""
+    for k in range(len(s) - 1, len(s) - 1 + steps):
+        numerator = (2 * k - m - 2) * s[k]
+        if k:
+            numerator += (k - 1 + 7 * m) * s[k - 1]
+        if k > 1:
+            numerator += (6 - 4 * m - 2 * k) * s[k - 2]
+        s.append(_exact_div(numerator, k + 1))
 
 
 def rooted_forest_rows(max_n: int) -> Iterator[list[int]]:
     """[r(n, 1), ..., r(n, n)] for n = 1..max_n, one row at a time.
 
-    The series u of :func:`rooted_forest_count` depends on m only, so one
+    The series s of :func:`rooted_forest_count` depends on m only, so one
     coefficient list per m is kept, and each row extends every list by one
-    coefficient of the same recurrence.  The binomials C(3n-1-2m, j),
-    j <= n-m, depend on n - m and the top 3n-1-2m, which grows by one from
-    row to row at a fixed d = n - m.  So one list [C(n-1+2d, j) for j <= d]
-    is kept per d, and each row advances every list by one step of Pascal's
-    rule, C(a+1, j) = C(a, j) + C(a, j-1), and adds the list of d = n-1;
-    at most n(n+1)/2 binomials are alive at once.  The last row is checked
-    against :func:`rooted_forest_count`, whose binomials are a ratio chain,
-    cell by cell, so a chain that misses or repeats a step cannot pass
-    unseen.  ``table --kind r`` and both of ``verify``'s r checks read their
-    cells from here.
+    coefficient of the same recurrence.  The binomials C(3n-1, j), j < n,
+    depend on n only, so each row builds that one list and every cell of the
+    row reads it.  The last row is checked against
+    :func:`rooted_forest_count`, whose binomials are a ratio chain, cell by
+    cell, so a chain that misses or repeats a step cannot pass unseen.
+    ``table --kind r`` and both of ``verify``'s r checks read their cells
+    from here.
     """
     if max_n < 1:
         raise ValueError(f"rooted_forest_rows requires max_n >= 1, got max_n={max_n}")
-    chains: list[list[int]] = []  # chains[m-1] = [u_0, ..., u_(n-m)] of that m
-    segments: list[list[int]] = []  # segments[d] = [C(n-1+2d, j) for j <= d]
+    chains: list[list[int]] = []  # chains[m-1] = [s_0, ..., s_(n-m)] of that m
     for n in range(1, max_n + 1):
-        for m, u in enumerate(chains, start=1):
-            _extend_u(u, m, 1)
+        for m, s in enumerate(chains, start=1):
+            _extend_s(s, m, 1)
         chains.append([1])
-        segments = [[1, *map(operator.add, segment[1:], segment)] for segment in segments]
-        segments.append([binomial(3 * n - 3, j) for j in range(n)])
+        choose = [binomial(3 * n - 1, j) for j in range(n)]
         row = []
-        for m, u in enumerate(chains, start=1):
-            total = sum(map(operator.mul, u, reversed(segments[n - m])))
+        for m, s in enumerate(chains, start=1):
+            total = sum(map(operator.mul, reversed(s), choose))
             value = _exact_div(binomial(2 * n, m - 1) * total, m)
             if value < 0:
                 raise ConsistencyError(f"r({n}, {m}) evaluated to {value} < 0")

@@ -16,8 +16,7 @@ right ends it spans.  The deliberately dumb sweep, a generator of all
 :func:`~.diagrams.classify_chords` on each one, is kept as the test oracle
 of both.  The non-crossing partitions of [N] come from a stack sweep that
 visits only them, and one sweep of [N] tallies every ground set up to N
-(:func:`noncrossing_partition_tallies`; the last tally is
-:func:`enumerate_noncrossing_partitions`).  Forest types are the
+(:func:`noncrossing_partition_tallies`).  Forest types are the
 partitions of n into m parts.  Enumeration order is deterministic, and
 sizes are guarded by caps so a typo'd n fails fast instead of running for
 hours; pass a larger ``cap`` explicitly to go above a default.
@@ -44,7 +43,6 @@ __all__ = [
     "brute_force_counts",
     "brute_force_tables",
     "enumerate_diagrams",
-    "enumerate_noncrossing_partitions",
     "enumerate_types",
     "iter_forests",
     "noncrossing_partition_tallies",
@@ -286,7 +284,7 @@ def brute_force_counts(n: int, cap: int = SCAN_CAP) -> CountTable:
 def noncrossing_partition_tallies(
     max_size: int, cap: int = PARTITION_CAP
 ) -> list[dict[tuple[int, ...], int]]:
-    """[enumerate_noncrossing_partitions(1), ..., (max_size)] from one sweep.
+    """Non-crossing partitions of [N] tallied by type, for N = 1..max_size, in one sweep.
 
     A type is the tuple of block sizes in descending order.  The sweep keeps
     a stack of the blocks that can still grow, oldest at the bottom.  Each
@@ -340,16 +338,6 @@ def noncrossing_partition_tallies(
             tally[key] = tally.get(key, 0) + seen
         tallies.append(tally)
     return tallies
-
-
-def enumerate_noncrossing_partitions(
-    ground_size: int, cap: int = PARTITION_CAP
-) -> dict[tuple[int, ...], int]:
-    """Tally the non-crossing partitions of [ground_size] by block-size type.
-
-    The last tally of :func:`noncrossing_partition_tallies`.
-    """
-    return noncrossing_partition_tallies(ground_size, cap)[-1]
 
 
 def _iter_partitions_into_parts(

@@ -75,6 +75,18 @@ def _rows_plus_one(genuine, n, m):
     return corrupted
 
 
+def _chain_plus_one(genuine, m, k):
+    """_extend_s with coefficient s_k of that m off by one, as later steps read it."""
+
+    def corrupted(s, chain_m, steps):
+        for _ in range(steps):
+            genuine(s, chain_m, 1)
+            if chain_m == m and len(s) == k + 1:
+                s[k] += 1
+
+    return corrupted
+
+
 def _power_plus_one(genuine, m, n):
     """tree_powers or rooted_powers with [x^n] of the m-th power off by one."""
 
@@ -159,6 +171,13 @@ ROWS = [
     (chordforest.formulas, "rooted_forest_rows", lambda f: _rows_plus_one(f, 5, 2), {
         BRIDGE: "r(n=5, m=2) formula=661 series=660",
         PAPER_SUM: "r(n=5, m=2) lagrange-burmann=661 paper-sum=660",
+    }),
+    # The row kernel and the cell form share this chain, so the row kernel's
+    # last-row check cannot see the fault; the next step's exact division
+    # (4 s_4 = 2 s_3 + ...) does, on both r checks.
+    (chordforest.formulas, "_extend_s", lambda f: _chain_plus_one(f, 2, 3), {
+        BRIDGE: "166 is not divisible by 4",
+        PAPER_SUM: "166 is not divisible by 4",
     }),
     (chordforest.formulas, "tree_count", lambda f: _value_plus_one(f, 5), {
         BRIDGE: "t(n=5) formula=56 series=55",

@@ -260,7 +260,37 @@ def _diagonal_paper_rows(max_n):
     return rows
 
 
+def _binomial_series(exponent, ratio, length):
+    """The first ``length`` coefficients of (1 + ratio w)^exponent, exponent any integer."""
+    if exponent >= 0:
+        return [math.comb(exponent, j) * ratio**j for j in range(length)]
+    # (1 + y)^(-e) = sum_j (-1)^j C(e+j-1, j) y^j
+    return [(-ratio) ** j * math.comb(j - exponent - 1, j) for j in range(length)]
+
+
+def _convolve(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
 class TestRootedForestCount:
+    def test_s_chain_equals_product_of_binomial_series(self):
+        # s(w) = (1-w)^m (1+w)^(-2m) (1-2w)^(1-m), multiplied out, against
+        # the recurrence, in one call as the cell form runs it and in single
+        # steps as the row kernel runs it
+        length = 31
+        for m in range(1, 13):
+            expected = _convolve(
+                _convolve(_binomial_series(m, -1, length), _binomial_series(-2 * m, 1, length)),
+                _binomial_series(1 - m, -2, length),
+            )
+            s = [1]
+            formulas._extend_s(s, m, length - 1)
+            assert s == expected
+            stepped = [1]
+            for _ in range(length - 1):
+                formulas._extend_s(stepped, m, 1)
+            assert stepped == expected
+
     def test_small_table(self):
         # confirmed by the exhaustive sweeps (test_oracle.py, n <= 7)
         expected = {

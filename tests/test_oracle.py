@@ -30,7 +30,6 @@ from chordforest.oracle import (
     brute_force_counts,
     brute_force_tables,
     enumerate_diagrams,
-    enumerate_noncrossing_partitions,
     enumerate_types,
     iter_forests,
     noncrossing_partition_tallies,
@@ -287,7 +286,7 @@ def _bell(n):
 def _literal_partition_tallies(ground_size):
     """Every set partition of [ground_size] in restricted-growth order, filtered
     at the leaf by testing each pair of blocks: the unpruned test oracle of
-    enumerate_noncrossing_partitions, with its tallies in the same order."""
+    noncrossing_partition_tallies, with its tallies in the same order."""
     tallies = {}
     blocks = []
 
@@ -316,34 +315,34 @@ class TestEnumerateNoncrossingPartitions:
     def test_no_crossings_possible_below_four_points(self):
         # crossing needs 4 points, so every partition of [N <= 3] survives
         for n in (1, 2, 3):
-            assert sum(enumerate_noncrossing_partitions(n).values()) == _bell(n)
+            assert sum(noncrossing_partition_tallies(n)[-1].values()) == _bell(n)
 
     def test_small_ground_sets_by_hand(self):
-        tallies = enumerate_noncrossing_partitions(3)
+        tallies = noncrossing_partition_tallies(3)[-1]
         assert sum(tallies.values()) == 5
         # N = 4: {13|24} crosses, so type (2,2) has only 2 of 3 partitions
-        tallies = enumerate_noncrossing_partitions(4)
+        tallies = noncrossing_partition_tallies(4)[-1]
         assert tallies[(2, 2)] == 2
         assert sum(tallies.values()) == 14
 
     def test_totals_are_catalan(self):
         for n in range(1, 13):
-            assert sum(enumerate_noncrossing_partitions(n).values()) == catalan(n)
+            assert sum(noncrossing_partition_tallies(n)[-1].values()) == catalan(n)
 
     def test_matches_kreweras_formula(self):
         for n in range(1, 13):
-            for block_type, count in enumerate_noncrossing_partitions(n).items():
+            for block_type, count in noncrossing_partition_tallies(n)[-1].items():
                 assert count == kreweras_count(block_type)
 
     def test_types_cover_the_ground_set(self):
-        for block_type in enumerate_noncrossing_partitions(6):
+        for block_type in noncrossing_partition_tallies(6)[-1]:
             assert sum(block_type) == 6
             # descending, so that equal multisets are equal keys
             assert list(block_type) == sorted(block_type, reverse=True)
 
     def test_pruned_sweep_matches_literal_sweep(self):
         for n in range(1, 10):
-            pruned = enumerate_noncrossing_partitions(n)
+            pruned = noncrossing_partition_tallies(n)[-1]
             assert list(pruned.items()) == list(_literal_partition_tallies(n).items())
 
     def test_one_sweep_matches_literal_sweep_for_every_size(self):
@@ -357,10 +356,6 @@ class TestEnumerateNoncrossingPartitions:
             noncrossing_partition_tallies(13)
         with pytest.raises(ValueError):
             noncrossing_partition_tallies(0)
-        with pytest.raises(EnumerationCapError):
-            enumerate_noncrossing_partitions(13)
-        with pytest.raises(ValueError):
-            enumerate_noncrossing_partitions(0)
 
 
 @functools.cache
