@@ -20,6 +20,7 @@ import functools
 import math
 import os
 import sys
+from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from . import diagrams, formulas, oracle
@@ -140,8 +141,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"--n {args.n} exceeds the enumeration cap of {cap}; pass --force to override"
         )
     cap = max(args.n, cap)
+    # the scan's table against the closed forms, before a line is printed
     table = oracle.brute_force_counts(args.n, cap=cap)
-    _check_scan(table, args.n)
+    mismatch = _first_mismatch(_scan_cases(args.n, table), "formula", "bruteforce")
+    if mismatch is not None:
+        raise ConsistencyError(f"enumerate --n {args.n}: {mismatch}")
     print(f"n={table.n}")
     print(f"total-diagrams={table.total_diagrams}")
     print(f"total-forests={table.total_forests}")
@@ -173,51 +177,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 write("".join(lines))
                 lines.clear()
         write("".join(lines))
-        _check_listing(table, tails)
+        # the lines listed, tallied by m and weighted by the product of the
+        # sizes, against the closed forms; the sweep shares no code with the scan
+        forests: Counter[int] = Counter()
+        rooted: Counter[int] = Counter()
+        for sizes, (_, listed) in tails.items():
+            forests[len(sizes)] += listed
+            rooted[len(sizes)] += listed * math.prod(sizes)
+        cases = _tally_cases(args.n, forests, rooted)
+        mismatch = _first_mismatch(cases, "formula", "bruteforce")
+        if mismatch is not None:
+            raise ConsistencyError(f"enumerate --list: {mismatch}")
     return EXIT_OK
-
-
-def _check_scan(table: oracle.CountTable, n: int) -> None:
-    """The scan's table of n against the closed forms, before it is printed."""
-    forests = dict(enumerate(formulas.forest_row(n), start=1))
-    rooted = {m: formulas.rooted_forest_count(n, m) for m in forests}
-    for name, scanned, closed in (
-        ("n", table.n, n),
-        ("total-diagrams", table.total_diagrams, formulas.double_factorial_pairings(n)),
-        ("forests by m", table.forests_by_trees, forests),
-        ("rooted by m", table.rooted_by_trees, rooted),
-    ):
-        if scanned != closed:
-            raise ConsistencyError(
-                f"enumerate --n {n}: the scan's {name} is {scanned}, not {closed}"
-            )
-
-
-def _check_listing(table: oracle.CountTable, tails: dict[tuple[int, ...], list]) -> None:
-    """The lines listed, tallied by m and weighted by the product of the
-    sizes, against the scan's forests and rooted forests by m.  The sweep and
-    the scan share no code, so each checks the other."""
-    forests: dict[int, int] = {}
-    rooted: dict[int, int] = {}
-    for sizes, (_, listed) in tails.items():
-        m = len(sizes)
-        forests[m] = forests.get(m, 0) + listed
-        rooted[m] = rooted.get(m, 0) + listed * math.prod(sizes)
-    listed = sum(forests.values())
-    if listed != table.total_forests:
-        raise ConsistencyError(
-            f"enumerate --list listed {listed} forests, "
-            f"but the scan counted {table.total_forests}"
-        )
-    for name, tallied, scanned in (
-        ("forests", forests, table.forests_by_trees),
-        ("rooted forests", rooted, table.rooted_by_trees),
-    ):
-        if tallied != scanned:
-            raise ConsistencyError(
-                f"enumerate --list listed {dict(sorted(tallied.items()))} {name} by m, "
-                f"but the scan counted {scanned}"
-            )
 
 
 # -- verify ----------------------------------------------------------------
@@ -280,15 +251,30 @@ def _series_vs_formula(max_n: int, rooted_table) -> Iterator[tuple]:
             yield f"r(n={n}, m={m})", table[n - 1][m - 1], bridged(power, n, m)
 
 
+def _tally_cases(n: int, forests: dict[int, int], rooted: dict[int, int]) -> Iterator[tuple]:
+    """f(n, m) and r(n, m) by the closed forms against an oracle's tallies by
+    m, for every m that either side holds.  A side without that m reads
+    None, so a missing m fails, and so does an extra m, even at count 0."""
+    for m in sorted({*range(1, n + 1), *forests, *rooted}):
+        in_range = 1 <= m <= n
+        closed = formulas.forest_count(n, m) if in_range else None
+        yield f"f(n={n}, m={m})", closed, forests.get(m)
+        closed = formulas.rooted_forest_count(n, m) if in_range else None
+        yield f"r(n={n}, m={m})", closed, rooted.get(m)
+
+
+def _scan_cases(n: int, table: oracle.CountTable) -> Iterator[tuple]:
+    """The scan's table of n against the closed forms: its n, its diagram
+    total and its tallies by m."""
+    yield f"scan size (n={n})", n, table.n
+    total = formulas.double_factorial_pairings(n)
+    yield f"diagram total (n={n})", total, table.total_diagrams
+    yield from _tally_cases(n, table.forests_by_trees, table.rooted_by_trees)
+
+
 def _formula_vs_bruteforce(max_n: int) -> Iterator[tuple]:
     for n, table in enumerate(oracle.brute_force_tables(max_n), start=1):
-        total = formulas.double_factorial_pairings(n)
-        yield f"diagram total (n={n})", total, table.total_diagrams
-        for m in range(1, n + 1):
-            forests = table.forests_by_trees.get(m, 0)
-            yield f"f(n={n}, m={m})", formulas.forest_count(n, m), forests
-            rooted = table.rooted_by_trees.get(m, 0)
-            yield f"r(n={n}, m={m})", formulas.rooted_forest_count(n, m), rooted
+        yield from _scan_cases(n, table)
 
 
 def _kreweras(max_n: int) -> Iterator[tuple]:

@@ -60,6 +60,22 @@ def _source_mutant(function, old, new):
     return namespace[function.__name__]
 
 
+def _patch_brute_force(monkeypatch, at_n, **changes):
+    """brute_force_tables with ``changes(table)`` applied to its table at n =
+    at_n, for verify and, through brute_force_counts, for enumerate."""
+    genuine = chordforest.oracle.brute_force_tables
+
+    def patched(max_n, *args, **kwargs):
+        tables = genuine(max_n, *args, **kwargs)
+        table = tables[at_n - 1]
+        tables[at_n - 1] = table._replace(
+            **{key: change(table) for key, change in changes.items()}
+        )
+        return tables
+
+    monkeypatch.setattr(chordforest.oracle, "brute_force_tables", patched)
+
+
 class TestCount:
     def test_forest(self, capsys):
         code, out, _ = _run(capsys, "count", "--kind", "f", "--n", "3", "--m", "2")
@@ -434,7 +450,7 @@ class TestEnumerate:
         assert code == EXIT_MISMATCH
         assert "total-forests=82" in out.splitlines()
         assert sum("sizes=" in line for line in out.splitlines()) == 81
-        assert err == "error: enumerate --list listed 81 forests, but the scan counted 82\n"
+        assert err == "error: enumerate --list: f(n=4, m=4) formula=14 bruteforce=13\n"
 
     def test_listing_with_wrong_sizes_exits_mismatch(self, capsys, monkeypatch):
         # every line keeps its chords and its m; the tree that holds the last
@@ -446,10 +462,7 @@ class TestEnumerate:
         code, out, err = _run(capsys, "enumerate", "--n", "3", "--list")
         assert code == EXIT_MISMATCH
         assert sum("sizes=" in line for line in out.splitlines()) == 14
-        assert err == (
-            "error: enumerate --list listed {1: 9, 2: 42, 3: 25} rooted forests by m, "
-            "but the scan counted {1: 9, 2: 12, 3: 5}\n"
-        )
+        assert err == "error: enumerate --list: r(n=3, m=2) formula=12 bruteforce=42\n"
 
     def test_scan_of_another_n_exits_mismatch(self, capsys, monkeypatch):
         genuine = chordforest.oracle.brute_force_counts
@@ -459,22 +472,20 @@ class TestEnumerate:
         code, out, err = _run(capsys, "enumerate", "--n", "6")
         assert code == EXIT_MISMATCH
         assert out == ""
-        assert err == "error: enumerate --n 6: the scan's n is 5, not 6\n"
+        assert err == "error: enumerate --n 6: scan size (n=6) formula=6 bruteforce=5\n"
 
     @pytest.mark.parametrize(
         "field, message",
         [
-            ("total_diagrams", "total-diagrams is 106, not 105"),
-            (
-                "forests_by_trees",
-                "forests by m is {1: 13, 2: 28, 3: 28, 4: 14}, "
-                "not {1: 12, 2: 28, 3: 28, 4: 14}",
-            ),
-            (
-                "rooted_by_trees",
-                "rooted by m is {1: 49, 2: 88, 3: 56, 4: 14}, "
-                "not {1: 48, 2: 88, 3: 56, 4: 14}",
-            ),
+            ("total_diagrams", "diagram total (n=4) formula=105 bruteforce=106"),
+            ("forests_by_trees", "f(n=4, m=1) formula=12 bruteforce=13"),
+            ("rooted_by_trees", "r(n=4, m=1) formula=48 bruteforce=49"),
+        ],
+        # the field, then what it tallies
+        ids=[
+            "total_diagrams-total-diagrams",
+            "forests_by_trees-forests by m",
+            "rooted_by_trees-rooted by m",
         ],
     )
     def test_scan_off_the_closed_forms_exits_mismatch(
@@ -492,7 +503,39 @@ class TestEnumerate:
         code, out, err = _run(capsys, "enumerate", "--n", "4")
         assert code == EXIT_MISMATCH
         assert out == ""
-        assert err == f"error: enumerate --n 4: the scan's {message}\n"
+        assert err == f"error: enumerate --n 4: {message}\n"
+
+    @pytest.mark.parametrize(
+        "tallies, counterexample",
+        [
+            # an extra m, even at count 0, is not one of the closed forms' m
+            (lambda tally: {0: 0, **tally}, "f(n=4, m=0) formula=None bruteforce=0"),
+            (
+                lambda tally: {m: tally[m] for m in (1, 2, 3)},
+                "f(n=4, m=4) formula=14 bruteforce=None",
+            ),
+        ],
+        ids=["extra-m", "missing-m"],
+    )
+    def test_scan_with_an_extra_or_a_missing_m_fails_both_commands(
+        self, capsys, monkeypatch, tallies, counterexample
+    ):
+        _patch_brute_force(
+            monkeypatch,
+            4,
+            forests_by_trees=lambda table: tallies(table.forests_by_trees),
+            rooted_by_trees=lambda table: tallies(table.rooted_by_trees),
+        )
+        code, out, err = _run(capsys, "enumerate", "--n", "4")
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert err == f"error: enumerate --n 4: {counterexample}\n"
+        code, out, _ = _run(capsys, "verify", "--max-n-brute", "4")
+        assert code == EXIT_MISMATCH
+        lines = out.splitlines()
+        index = lines.index("check formula-vs-bruteforce (n<=4): FAIL")
+        assert lines[index + 1] == f"  first counterexample: {counterexample}"
+        assert lines[-1] == "1 of 6 checks failed"
 
     # the listing visits every diagram and is capped at 8; the scan's tallies at 12
     ABOVE_CAP = ((("--n", "9", "--list"), 9, 8), (("--n", "13"), 13, 12))
@@ -604,23 +647,8 @@ class TestVerify:
         assert lines[index + 1] == f"  first counterexample: {counterexample}"
         assert lines[-1] == "1 of 6 checks failed"
 
-    @staticmethod
-    def _patch_brute_force(monkeypatch, at_n, **changes):
-        """brute_force_tables with ``changes(table)`` applied to its table at n = at_n."""
-        genuine = chordforest.oracle.brute_force_tables
-
-        def patched(max_n, **kwargs):
-            tables = genuine(max_n, **kwargs)
-            table = tables[at_n - 1]
-            tables[at_n - 1] = table._replace(
-                **{key: change(table) for key, change in changes.items()}
-            )
-            return tables
-
-        monkeypatch.setattr(chordforest.oracle, "brute_force_tables", patched)
-
     def test_bruteforce_diagram_total_counterexample(self, capsys, monkeypatch):
-        self._patch_brute_force(
+        _patch_brute_force(
             monkeypatch, 2, total_diagrams=lambda table: table.total_diagrams + 1
         )
         self._failure(
@@ -628,7 +656,7 @@ class TestVerify:
         )
 
     def test_bruteforce_forest_cell_counterexample(self, capsys, monkeypatch):
-        self._patch_brute_force(
+        _patch_brute_force(
             monkeypatch,
             3,
             forests_by_trees=lambda table: {**table.forests_by_trees, 2: 7},
@@ -638,7 +666,7 @@ class TestVerify:
         )
 
     def test_bruteforce_rooted_cell_counterexample(self, capsys, monkeypatch):
-        self._patch_brute_force(
+        _patch_brute_force(
             monkeypatch,
             3,
             rooted_by_trees=lambda table: {**table.rooted_by_trees, 2: 0},

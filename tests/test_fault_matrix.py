@@ -1,15 +1,16 @@
 """Fault matrix: a +1 planted in any series function that the CLI reaches,
-or in any public formulas function, fails ``verify``.
+in any public formulas function, or in any oracle function that ``verify``
+calls, fails ``verify``.
 
 Each row corrupts one cell of one function's result, at the module attribute
 that its caller looks up: ``cli``'s own name for the series functions
 ``cli`` calls, ``series``' for those that only other series functions call,
-and ``formulas``' for the formulas functions, which ``cli`` and ``formulas``
-itself both look up there.  The row then runs ``verify`` at small bounds
-and names every check that must fail, with its first counterexample.  This
-is mutation analysis (DeMillo, Lipton and Sayward, "Hints on Test Data
-Selection", IEEE Computer 11(4), 1978) turned on the claim that the three
-routes check each other.
+and ``formulas``' and ``oracle``'s for the functions of those modules, which
+``cli`` and the module itself both look up there.  The row then runs
+``verify`` at small bounds and names every check that must fail, with its
+first counterexample.  This is mutation analysis (DeMillo, Lipton and
+Sayward, "Hints on Test Data Selection", IEEE Computer 11(4), 1978) turned
+on the claim that the three routes check each other.
 """
 
 import inspect
@@ -18,8 +19,9 @@ import pytest
 
 import chordforest.cli
 import chordforest.formulas
+import chordforest.oracle
 import chordforest.series
-from chordforest.cli import EXIT_MISMATCH, main
+from chordforest.cli import EXIT_MISMATCH, EXIT_OK, main
 
 VERIFY = ("verify", "--max-n-formula", "8", "--max-n-brute", "3")
 R_CHECK = "x T' disagrees with x (2x - T) / (x - 3 T^2)"
@@ -96,6 +98,39 @@ def _power_plus_one(genuine, m, n):
         power[n] += 1
         powers[m - 1] = tuple(power)
         return powers
+
+    return corrupted
+
+
+def _table_replaced(genuine, n, field, change):
+    """brute_force_tables with ``field`` of its table of n replaced by
+    ``change(field)``."""
+
+    def corrupted(*args):
+        tables = genuine(*args)
+        table = tables[n - 1]
+        tables[n - 1] = table._replace(**{field: change(getattr(table, field))})
+        return tables
+
+    return corrupted
+
+
+def _tally_plus_one(genuine, ground, sizes):
+    """noncrossing_partition_tallies with type ``sizes`` of [ground] off by one."""
+
+    def corrupted(*args):
+        tallies = genuine(*args)
+        tallies[ground - 1][sizes] += 1
+        return tallies
+
+    return corrupted
+
+
+def _types_without(genuine, dropped):
+    """enumerate_types without the type ``dropped``."""
+
+    def corrupted(n, m):
+        return (sizes for sizes in genuine(n, m) if sizes != dropped)
 
     return corrupted
 
@@ -192,17 +227,35 @@ ROWS = [
         lambda f: _types_plus_one(f, [(4, 1), (3, 2)]),
         {TYPE_SUM: "f(n=5, m=2) formula=150 type-sum=151"},
     ),
+    (
+        chordforest.oracle,
+        "brute_force_tables",
+        lambda f: _table_replaced(f, 3, "forests_by_trees", lambda by_m: {**by_m, 2: 7}),
+        {BRUTE: "f(n=3, m=2) formula=6 bruteforce=7"},
+    ),
+    # the table of n = 2 labelled 1: its tallies are right, only its n is not
+    (chordforest.oracle, "brute_force_tables", lambda f: _table_replaced(f, 2, "n", lambda n: 1), {
+        BRUTE: "scan size (n=2) formula=2 bruteforce=1",
+    }),
+    (
+        chordforest.oracle,
+        "noncrossing_partition_tallies",
+        lambda f: _tally_plus_one(f, 5, (3, 1, 1)),
+        {KREWERAS: "non-crossing partitions of [5] formula=42 bruteforce=43"},
+    ),
+    (chordforest.oracle, "enumerate_types", lambda f: _types_without(f, (3, 2)), {
+        TYPE_SUM: "f(n=5, m=2) formula=150 type-sum=120",
+    }),
 ]
+# module.name, and -2 on a function's second row
+IDS = [f"{module.__name__}.{name}" for module, name, _, _ in ROWS]
+IDS = [key + f"-{IDS[:i].count(key) + 1}" * (key in IDS[:i]) for i, key in enumerate(IDS)]
 
 
-@pytest.mark.parametrize(
-    "module, name, corrupt, failures",
-    ROWS,
-    ids=[f"{module.__name__}.{name}" for module, name, _, _ in ROWS],
-)
-def test_planted_fault_fails_verify(capsys, monkeypatch, module, name, corrupt, failures):
-    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
-    code = main(list(VERIFY))
+def _assert_fails(capsys, argv, failures):
+    """``verify`` at ``argv`` fails exactly the checks of ``failures``, each
+    with its first counterexample, and passes every other."""
+    code = main(list(argv))
     lines = capsys.readouterr().out.splitlines()
     assert code == EXIT_MISMATCH
     failed = {
@@ -215,6 +268,30 @@ def test_planted_fault_fails_verify(capsys, monkeypatch, module, name, corrupt, 
         for check, counterexample in failures.items()
     }
     assert lines[-1] == f"{len(failures)} of 6 checks failed"
+
+
+@pytest.mark.parametrize("module, name, corrupt, failures", ROWS, ids=IDS)
+def test_planted_fault_fails_verify(capsys, monkeypatch, module, name, corrupt, failures):
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    _assert_fails(capsys, VERIFY, failures)
+
+
+def test_planted_fault_at_the_rooted_cell_band_edge_fails_verify(capsys, monkeypatch):
+    # The paper-sum check reads the r cell form up to n = 20 only, so this
+    # is the last row in which a fault of rooted_forest_count is seen.
+    assert chordforest.cli.ROOTED_CELL_VERIFY_MAX == 20
+    genuine = chordforest.formulas.rooted_forest_count
+    monkeypatch.setattr(
+        chordforest.formulas, "rooted_forest_count", _value_plus_one(genuine, 20, 5)
+    )
+    counterexample = (
+        "r(n=20, m=5) lagrange-burmann=289790184665121505 paper-sum=289790184665121504"
+    )
+    _assert_fails(
+        capsys,
+        ("verify", "--max-n-brute", "3"),
+        {"rooted-paper-sum-vs-lagrange-burmann (n<=60)": counterexample},
+    )
 
 
 def test_every_series_function_has_a_row():
@@ -233,3 +310,24 @@ def test_every_series_function_has_a_row():
 def test_every_formulas_function_has_a_row():
     rows = {name for module, name, _, _ in ROWS if module is chordforest.formulas}
     assert set(chordforest.formulas.__all__) <= rows
+
+
+def test_every_oracle_function_verify_calls_has_a_row(capsys, monkeypatch):
+    called = set()
+
+    def recording(name, genuine):
+        def record(*args, **kwargs):
+            called.add(name)
+            return genuine(*args, **kwargs)
+
+        return record
+
+    # the public functions, which cli calls; private helpers run inside them
+    for name in chordforest.oracle.__all__:
+        value = getattr(chordforest.oracle, name)
+        if inspect.isfunction(value):
+            monkeypatch.setattr(chordforest.oracle, name, recording(name, value))
+    assert main(list(VERIFY)) == EXIT_OK
+    capsys.readouterr()
+    rows = {name for module, name, _, _ in ROWS if module is chordforest.oracle}
+    assert called and called <= rows
