@@ -308,7 +308,7 @@ def noncrossing_partition_tallies(
     first partition was met, as in that sweep's order.
     """
     if max_size < 1:
-        raise ValueError(f"ground_size must be >= 1, got {max_size}")
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
     _check_cap(max_size, cap, "set-partition sweep")
     # by_blocks[N-1]: block sizes of [N], oldest block first -> partitions
     by_blocks: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_size)]

@@ -39,6 +39,7 @@ from chordforest.formulas import (
     rooted_forest_count,
     tree_count,
 )
+from test_fault_matrix import table_replaced
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -58,22 +59,6 @@ def _source_mutant(function, old, new):
     namespace = dict(vars(inspect.getmodule(function)))
     exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
     return namespace[function.__name__]
-
-
-def _patch_brute_force(monkeypatch, at_n, **changes):
-    """brute_force_tables with ``changes(table)`` applied to its table at n =
-    at_n, for verify and, through brute_force_counts, for enumerate."""
-    genuine = chordforest.oracle.brute_force_tables
-
-    def patched(max_n, *args, **kwargs):
-        tables = genuine(max_n, *args, **kwargs)
-        table = tables[at_n - 1]
-        tables[at_n - 1] = table._replace(
-            **{key: change(table) for key, change in changes.items()}
-        )
-        return tables
-
-    monkeypatch.setattr(chordforest.oracle, "brute_force_tables", patched)
 
 
 class TestCount:
@@ -520,11 +505,12 @@ class TestEnumerate:
     def test_scan_with_an_extra_or_a_missing_m_fails_both_commands(
         self, capsys, monkeypatch, tallies, counterexample
     ):
-        _patch_brute_force(
-            monkeypatch,
-            4,
-            forests_by_trees=lambda table: tallies(table.forests_by_trees),
-            rooted_by_trees=lambda table: tallies(table.rooted_by_trees),
+        # one patch reaches enumerate too, through brute_force_counts
+        genuine = chordforest.oracle.brute_force_tables
+        monkeypatch.setattr(
+            chordforest.oracle,
+            "brute_force_tables",
+            table_replaced(genuine, 4, forests_by_trees=tallies, rooted_by_trees=tallies),
         )
         code, out, err = _run(capsys, "enumerate", "--n", "4")
         assert code == EXIT_MISMATCH
@@ -608,232 +594,6 @@ class TestVerify:
         assert "FAIL" not in out
         assert "counterexample" not in out
 
-    def test_corrupted_formula_reports_counterexample(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.forest_count
-
-        def corrupted(n, m):
-            value = genuine(n, m)
-            return value + 1 if (n, m) == (3, 2) else value
-
-        monkeypatch.setattr(chordforest.formulas, "forest_count", corrupted)
-        code, out, _ = _run(
-            capsys, "verify", "--max-n-formula", "6", "--max-n-brute", "3"
-        )
-        assert code == EXIT_MISMATCH
-        assert "FAIL" in out
-        assert "first counterexample: f(n=3, m=2)" in out
-        assert "formula=7" in out and "series=6" in out
-
-    def test_rooted_forms_disagreeing_is_a_counterexample(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.rooted_forest_paper_rows
-
-        def corrupted(max_n):
-            rows = genuine(max_n)
-            rows[3][1] += 1  # r(4, 2)
-            return rows
-
-        monkeypatch.setattr(chordforest.formulas, "rooted_forest_paper_rows", corrupted)
-        code, out, _ = _run(capsys, "verify", "--max-n-formula", "6", "--max-n-brute", "2")
-        assert code == EXIT_MISMATCH
-        assert "check rooted-paper-sum-vs-lagrange-burmann (n<=6): FAIL" in out
-        assert "first counterexample: r(n=4, m=2) lagrange-burmann=88 paper-sum=89" in out
-
-    @staticmethod
-    def _failure(capsys, check, counterexample):
-        code, out, _ = _run(capsys, "verify", "--max-n-formula", "4", "--max-n-brute", "3")
-        assert code == EXIT_MISMATCH
-        lines = out.splitlines()
-        index = lines.index(f"check {check}: FAIL")
-        assert lines[index + 1] == f"  first counterexample: {counterexample}"
-        assert lines[-1] == "1 of 6 checks failed"
-
-    def test_bruteforce_diagram_total_counterexample(self, capsys, monkeypatch):
-        _patch_brute_force(
-            monkeypatch, 2, total_diagrams=lambda table: table.total_diagrams + 1
-        )
-        self._failure(
-            capsys, "formula-vs-bruteforce (n<=3)", "diagram total (n=2) formula=3 bruteforce=4"
-        )
-
-    def test_bruteforce_forest_cell_counterexample(self, capsys, monkeypatch):
-        _patch_brute_force(
-            monkeypatch,
-            3,
-            forests_by_trees=lambda table: {**table.forests_by_trees, 2: 7},
-        )
-        self._failure(
-            capsys, "formula-vs-bruteforce (n<=3)", "f(n=3, m=2) formula=6 bruteforce=7"
-        )
-
-    def test_bruteforce_rooted_cell_counterexample(self, capsys, monkeypatch):
-        _patch_brute_force(
-            monkeypatch,
-            3,
-            rooted_by_trees=lambda table: {**table.rooted_by_trees, 2: 0},
-        )
-        self._failure(
-            capsys, "formula-vs-bruteforce (n<=3)", "r(n=3, m=2) formula=12 bruteforce=0"
-        )
-
-    def test_kreweras_total_counterexample(self, capsys, monkeypatch):
-        genuine = chordforest.oracle.noncrossing_partition_tallies
-        one_block = (5,)
-
-        def patched(max_size, **kwargs):
-            tallies = genuine(max_size, **kwargs)
-            tallies[4][one_block] += 1  # [5]
-            return tallies
-
-        monkeypatch.setattr(chordforest.oracle, "noncrossing_partition_tallies", patched)
-        self._failure(
-            capsys,
-            "kreweras-vs-enumeration (N<=9)",
-            "non-crossing partitions of [5] formula=42 bruteforce=43",
-        )
-
-    def test_kreweras_type_counterexample(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.kreweras_count
-        def corrupted(sizes):
-            return genuine(sizes) + (sizes == (2, 1))
-
-        monkeypatch.setattr(chordforest.formulas, "kreweras_count", corrupted)
-        self._failure(
-            capsys,
-            "kreweras-vs-enumeration (N<=9)",
-            "type (2, 1) of [3] formula=4 bruteforce=3",
-        )
-
-    def test_type_sum_counterexample(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.type_sum_forest_count
-
-        def corrupted(types):
-            types = list(types)
-            # the partitions of 5 into 3 parts, in enumerate_types order
-            return genuine(types) - (types == [(3, 1, 1), (2, 2, 1)])
-
-        monkeypatch.setattr(chordforest.formulas, "type_sum_forest_count", corrupted)
-        self._failure(
-            capsys, "type-sum-vs-closed-form (n<=12)", "f(n=5, m=3) formula=180 type-sum=179"
-        )
-
-    def test_inexact_series_quotient_is_shown_as_a_fraction(self, capsys, monkeypatch):
-        genuine = chordforest.cli.rooted_powers
-
-        def corrupted(r):
-            # [x^4] R^3 is 6; C(8, 2) * 7 / 3 is not an integer
-            powers = genuine(r)
-            cube = powers[2]
-            assert cube[:5] == (0, 0, 0, 1, 6)
-            powers[2] = cube[:4] + (cube[4] + 1,) + cube[5:]
-            return powers
-
-        monkeypatch.setattr(chordforest.cli, "rooted_powers", corrupted)
-        self._failure(
-            capsys, "formula-vs-series (n<=4)", "r(n=4, m=3) formula=56 series=196/3"
-        )
-
-    @staticmethod
-    def _rooted_gf_failure(capsys, bridge, identities):
-        # cli's rooted_gf feeds the bridge and the series-identities check,
-        # which compares it with tree_gf, so both report the fault
-        code, out, _ = _run(capsys, "verify", "--max-n-formula", "4", "--max-n-brute", "3")
-        assert code == EXIT_MISMATCH
-        lines = out.splitlines()
-        for check, counterexample in (
-            ("formula-vs-series (n<=4)", bridge),
-            ("series-identities (order 40)", identities),
-        ):
-            index = lines.index(f"check {check}: FAIL")
-            assert lines[index + 1] == f"  first counterexample: {counterexample}"
-        assert lines[-1] == "2 of 6 checks failed"
-
-    def test_wrong_tree_coefficient_fails_the_bridge(self, capsys, monkeypatch):
-        genuine = chordforest.cli.rooted_gf
-
-        def corrupted(order):
-            r = genuine(order)
-            return r[:2] + (r[2] + 2,) + r[3:]  # t_2 = r_2 / 2 = 2, not 1
-
-        monkeypatch.setattr(chordforest.cli, "rooted_gf", corrupted)
-        self._rooted_gf_failure(
-            capsys, "f(n=2, m=1) formula=1 series=2", "[x^2] R=4 xT'=2"
-        )
-
-    def test_inexact_tree_coefficient_fails_the_bridge(self, capsys, monkeypatch):
-        genuine = chordforest.cli.rooted_gf
-
-        def corrupted(order):
-            r = genuine(order)
-            return r[:2] + (r[2] + 1,) + r[3:]  # r_2 = 3, not 2 t_2
-
-        monkeypatch.setattr(chordforest.cli, "rooted_gf", corrupted)
-        self._rooted_gf_failure(
-            capsys, "[x^2] R = 3 is not divisible by n = 2", "[x^2] R=3 xT'=2"
-        )
-
-    def test_wrong_tree_gf_coefficient_fails_the_identities(self, capsys, monkeypatch):
-        # tree_gf, which series --which T prints from, reaches verify only
-        # through the series-identities check
-        genuine = chordforest.cli.tree_gf
-
-        def corrupted(order):
-            t = genuine(order)
-            return t[:20] + (t[20] + 1,) + t[21:]
-
-        monkeypatch.setattr(chordforest.cli, "tree_gf", corrupted)
-        code, out, _ = _run(capsys, "verify")
-        assert code == EXIT_MISMATCH
-        lines = out.splitlines()
-        index = lines.index("check series-identities (order 40): FAIL")
-        assert lines[index + 1] == (
-            "  first counterexample: [x^20] R=326658445806000 xT'=326658445806020"
-        )
-        assert lines[-1] == "1 of 6 checks failed"
-
-    @staticmethod
-    def _bridge_failure(capsys, counterexample):
-        # the bounds at which default verify once passed a wrong t(20)
-        code, out, _ = _run(capsys, "verify", "--max-n-formula", "30", "--max-n-brute", "5")
-        assert code == EXIT_MISMATCH
-        lines = out.splitlines()
-        index = lines.index("check formula-vs-series (n<=30): FAIL")
-        assert lines[index + 1] == f"  first counterexample: {counterexample}"
-        assert lines[-1] == "1 of 6 checks failed"
-
-    def test_wrong_tree_count_fails_the_bridge(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.tree_count
-
-        def corrupted(n):
-            return genuine(n) + (n == 20)
-
-        monkeypatch.setattr(chordforest.formulas, "tree_count", corrupted)
-        self._bridge_failure(capsys, "t(n=20) formula=16332922290301 series=16332922290300")
-
-    def test_wrong_tree_counts_entry_fails_the_bridge(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.tree_counts
-
-        def corrupted(max_n):
-            row = genuine(max_n)
-            row[19] += 1  # t(20)
-            return row
-
-        monkeypatch.setattr(chordforest.formulas, "tree_counts", corrupted)
-        self._bridge_failure(capsys, "t(n=20) formula=16332922290301 series=16332922290300")
-
-    def test_wrong_forest_row_cell_fails_the_bridge(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.forest_row
-
-        def corrupted(n):
-            row = genuine(n)
-            if n == 20:
-                row[4] += 1  # f(20, 5)
-            return row
-
-        monkeypatch.setattr(chordforest.formulas, "forest_row", corrupted)
-        self._bridge_failure(
-            capsys, "f(n=20, m=5) formula=4114066297404337 series=4114066297404336"
-        )
-
     def test_rooted_table_is_built_once_per_call(self, capsys, monkeypatch):
         rows_genuine = chordforest.formulas.rooted_forest_rows
         count_genuine = chordforest.formulas.rooted_forest_count
@@ -857,62 +617,6 @@ class TestVerify:
             # and brute force the 6 cells of n <= 3
             assert row_calls == [12] * expected
             assert len(cell_calls) == 96 * expected
-
-    def test_wrong_rooted_cell_fails_both_checks_that_share_it(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.rooted_forest_rows
-
-        def corrupted(max_n):
-            for n, row in enumerate(genuine(max_n), start=1):
-                if n == 5:
-                    row[1] += 1  # r(5, 2)
-                yield row
-
-        monkeypatch.setattr(chordforest.formulas, "rooted_forest_rows", corrupted)
-        code, out, _ = _run(capsys, "verify", "--max-n-formula", "12", "--max-n-brute", "3")
-        assert code == EXIT_MISMATCH
-        lines = out.splitlines()
-        for check, right in (
-            ("formula-vs-series (n<=12)", "formula=661 series=660"),
-            ("rooted-paper-sum-vs-lagrange-burmann (n<=12)", "lagrange-burmann=661 paper-sum=660"),
-        ):
-            index = lines.index(f"check {check}: FAIL")
-            assert lines[index + 1] == f"  first counterexample: r(n=5, m=2) {right}"
-        assert lines[-1] == "2 of 6 checks failed"
-
-    def test_wrong_cell_form_fails_the_shared_rooted_table(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.rooted_forest_count
-
-        def corrupted(n, m):
-            return genuine(n, m) + (n == 12)
-
-        monkeypatch.setattr(chordforest.formulas, "rooted_forest_count", corrupted)
-        code, out, err = _run(capsys, "verify", "--max-n-formula", "12", "--max-n-brute", "3")
-        assert code == EXIT_MISMATCH
-        lines = out.splitlines()
-        message = "  first counterexample: rooted_forest_rows(12) ends off the cell form r(12, m)"
-        for check in ("formula-vs-series (n<=12)", "rooted-paper-sum-vs-lagrange-burmann (n<=12)"):
-            index = lines.index(f"check {check}: FAIL")
-            assert lines[index + 1] == message
-        assert lines[-1] == "2 of 6 checks failed"
-        assert "Traceback" not in out + err
-
-    def test_wrong_cell_form_below_the_last_row_fails_the_paper_sum(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.rooted_forest_count
-
-        def corrupted(n, m):
-            return genuine(n, m) + ((n, m) == (20, 5))
-
-        monkeypatch.setattr(chordforest.formulas, "rooted_forest_count", corrupted)
-        # the rows' last-row check reads n = 30 only, and brute force n <= 5
-        code, out, _ = _run(capsys, "verify", "--max-n-formula", "30", "--max-n-brute", "5")
-        assert code == EXIT_MISMATCH
-        lines = out.splitlines()
-        index = lines.index("check rooted-paper-sum-vs-lagrange-burmann (n<=30): FAIL")
-        assert lines[index + 1] == (
-            "  first counterexample: r(n=20, m=5) "
-            "lagrange-burmann=289790184665121505 paper-sum=289790184665121504"
-        )
-        assert lines[-1] == "1 of 6 checks failed"
 
     def test_failed_self_check_is_a_counterexample(self, capsys, monkeypatch):
         genuine = chordforest.series.mul

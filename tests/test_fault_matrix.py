@@ -1,16 +1,21 @@
-"""Fault matrix: a +1 planted in any series function that the CLI reaches,
-in any public formulas function, or in any oracle function that ``verify``
-calls, fails ``verify``.
+"""Fault matrix: every fault the tests plant to fail ``verify``, one row each.
+
+A fault planted in any series function that the CLI reaches, in any public
+formulas function, or in any oracle function that ``verify`` calls, fails
+``verify``; the guards below require a row for each such function.
 
 Each row corrupts one cell of one function's result, at the module attribute
 that its caller looks up: ``cli``'s own name for the series functions
 ``cli`` calls, ``series``' for those that only other series functions call,
 and ``formulas``' and ``oracle``'s for the functions of those modules, which
 ``cli`` and the module itself both look up there.  The row then runs
-``verify`` at small bounds and names every check that must fail, with its
-first counterexample.  This is mutation analysis (DeMillo, Lipton and
-Sayward, "Hints on Test Data Selection", IEEE Computer 11(4), 1978) turned
-on the claim that the three routes check each other.
+``verify --max-n-brute 3`` and names every check that must fail, with its
+first counterexample; every other check must pass.  Most rows run at
+``--max-n-formula 8``; a row that names a larger bound plants a fault that
+only that bound reaches, such as one in the last row a check reads.  This
+is mutation analysis (DeMillo, Lipton and Sayward, "Hints on Test Data
+Selection", IEEE Computer 11(4), 1978) turned on the claim that the three
+routes check each other.
 """
 
 import inspect
@@ -23,23 +28,26 @@ import chordforest.oracle
 import chordforest.series
 from chordforest.cli import EXIT_MISMATCH, EXIT_OK, main
 
-VERIFY = ("verify", "--max-n-formula", "8", "--max-n-brute", "3")
+MAX_N_FORMULA = 8  # verify's --max-n-formula for a row that names none
 R_CHECK = "x T' disagrees with x (2x - T) / (x - 3 T^2)"
 G_CHECK = "G - 1 - x G^3 is nonzero at order 40"
-BRIDGE = "formula-vs-series (n<=8)"
+BRIDGE = "formula-vs-series (n<={})"
 IDENTITIES = "series-identities (order 40)"
-PAPER_SUM = "rooted-paper-sum-vs-lagrange-burmann (n<=8)"
+PAPER_SUM = "rooted-paper-sum-vs-lagrange-burmann (n<={})"
 BRUTE = "formula-vs-bruteforce (n<=3)"
 KREWERAS = "kreweras-vs-enumeration (N<=9)"
 TYPE_SUM = "type-sum-vs-closed-form (n<=12)"
+# r(60, 30), in the last row of the default bound
+R_60_30 = 98495518681564789533321823104337754875933767896154778170880
 
 
-def _plus_one(genuine, cell):
-    """genuine with coefficient ``cell`` of every long enough result off by one."""
+def _plus_one(genuine, cell, *at):
+    """genuine with coefficient ``cell`` off by one: of every long enough
+    result, or of its result at the arguments ``at`` only."""
 
     def corrupted(*args):
         coeffs = list(genuine(*args))
-        if len(coeffs) > cell:
+        if len(coeffs) > cell and (not at or args == at):
             coeffs[cell] += 1
         return tuple(coeffs)
 
@@ -102,14 +110,16 @@ def _power_plus_one(genuine, m, n):
     return corrupted
 
 
-def _table_replaced(genuine, n, field, change):
-    """brute_force_tables with ``field`` of its table of n replaced by
-    ``change(field)``."""
+def table_replaced(genuine, n, /, **changes):
+    """brute_force_tables with each field of its table of n that ``changes``
+    names replaced by ``change(value)``; test_cli plants it in ``enumerate``."""
 
     def corrupted(*args):
         tables = genuine(*args)
         table = tables[n - 1]
-        tables[n - 1] = table._replace(**{field: change(getattr(table, field))})
+        tables[n - 1] = table._replace(
+            **{field: change(getattr(table, field)) for field, change in changes.items()}
+        )
         return tables
 
     return corrupted
@@ -136,10 +146,14 @@ def _types_without(genuine, dropped):
 
 
 # (module, name, corruption of the genuine function, {failing check: first
-# counterexample}); every other check must pass
+# counterexample}[, --max-n-formula]); every other check must pass
 ROWS = [
     (chordforest.cli, "rooted_powers", lambda f: _power_plus_one(f, 2, 5), {
         BRIDGE: "r(n=5, m=2) formula=660 series=665",
+    }),
+    # an inexact quotient is shown as a fraction
+    (chordforest.cli, "rooted_powers", lambda f: _power_plus_one(f, 3, 4), {
+        BRIDGE: "r(n=4, m=3) formula=56 series=196/3",
     }),
     (chordforest.series, "mul", lambda f: _plus_one(f, 5), {
         BRIDGE: R_CHECK,
@@ -166,6 +180,11 @@ ROWS = [
         BRIDGE: "[x^5] R = 276 is not divisible by n = 5",
         IDENTITIES: "[x^5] R=276 xT'=275",
     }),
+    # r_2 = 4, so t_2 = r_2 / 2 = 2, not 1
+    (chordforest.cli, "rooted_gf", lambda f: _plus_one(_plus_one(f, 2), 2), {
+        BRIDGE: "f(n=2, m=1) formula=1 series=2",
+        IDENTITIES: "[x^2] R=4 xT'=2",
+    }),
     (chordforest.series, "_ternary_coefficients", lambda f: _plus_one(f, 5), {
         BRIDGE: R_CHECK,
         IDENTITIES: G_CHECK,
@@ -187,12 +206,20 @@ ROWS = [
         BRIDGE: "f(n=5, m=3) formula=181 series=180",
         TYPE_SUM: "f(n=5, m=3) formula=181 type-sum=180",
     }),
+    (chordforest.formulas, "forest_count", lambda f: _value_plus_one(f, 3, 2), {
+        BRIDGE: "f(n=3, m=2) formula=7 series=6",
+        BRUTE: "f(n=3, m=2) formula=7 bruteforce=6",
+        TYPE_SUM: "f(n=3, m=2) formula=7 type-sum=6",
+    }),
     (chordforest.formulas, "forest_row", lambda f: _plus_one(f, 2), {
         BRIDGE: "f(n=3, m=3) formula=6 series=5",
     }),
     (chordforest.formulas, "kreweras_count", lambda f: _value_plus_one(f, (4, 2, 2)), {
         KREWERAS: "type (4, 2, 2) of [8] formula=29 bruteforce=28",
         TYPE_SUM: "f(n=4, m=3) formula=28 type-sum=29",
+    }),
+    (chordforest.formulas, "kreweras_count", lambda f: _value_plus_one(f, (2, 1)), {
+        KREWERAS: "type (2, 1) of [3] formula=4 bruteforce=3",
     }),
     (chordforest.formulas, "lagrange_coeff", lambda f: _value_plus_one(f, 4, 4), {
         PAPER_SUM: "r(n=3, m=1) lagrange-burmann=9 paper-sum=27",
@@ -230,13 +257,25 @@ ROWS = [
     (
         chordforest.oracle,
         "brute_force_tables",
-        lambda f: _table_replaced(f, 3, "forests_by_trees", lambda by_m: {**by_m, 2: 7}),
+        lambda f: table_replaced(f, 3, forests_by_trees=lambda by_m: {**by_m, 2: 7}),
         {BRUTE: "f(n=3, m=2) formula=6 bruteforce=7"},
     ),
     # the table of n = 2 labelled 1: its tallies are right, only its n is not
-    (chordforest.oracle, "brute_force_tables", lambda f: _table_replaced(f, 2, "n", lambda n: 1), {
+    (chordforest.oracle, "brute_force_tables", lambda f: table_replaced(f, 2, n=lambda n: 1), {
         BRUTE: "scan size (n=2) formula=2 bruteforce=1",
     }),
+    (
+        chordforest.oracle,
+        "brute_force_tables",
+        lambda f: table_replaced(f, 2, total_diagrams=lambda total: total + 1),
+        {BRUTE: "diagram total (n=2) formula=3 bruteforce=4"},
+    ),
+    (
+        chordforest.oracle,
+        "brute_force_tables",
+        lambda f: table_replaced(f, 3, rooted_by_trees=lambda by_m: {**by_m, 2: 0}),
+        {BRUTE: "r(n=3, m=2) formula=12 bruteforce=0"},
+    ),
     (
         chordforest.oracle,
         "noncrossing_partition_tallies",
@@ -246,16 +285,70 @@ ROWS = [
     (chordforest.oracle, "enumerate_types", lambda f: _types_without(f, (3, 2)), {
         TYPE_SUM: "f(n=5, m=2) formula=150 type-sum=120",
     }),
+    # Rows at a larger bound, for faults past n = 8.  Default verify once
+    # passed a wrong t(20).
+    (chordforest.formulas, "tree_count", lambda f: _value_plus_one(f, 20), {
+        BRIDGE: "t(n=20) formula=16332922290301 series=16332922290300",
+    }, 30),
+    (chordforest.formulas, "tree_counts", lambda f: _plus_one(f, 19), {
+        BRIDGE: "t(n=20) formula=16332922290301 series=16332922290300",
+    }, 30),
+    (chordforest.formulas, "forest_row", lambda f: _plus_one(f, 4, 20), {
+        BRIDGE: "f(n=20, m=5) formula=4114066297404337 series=4114066297404336",
+    }, 30),
+    # the rooted table's last-row check, which both r checks share
+    (chordforest.formulas, "rooted_forest_count", lambda f: _value_plus_one(f, 12, 5), {
+        BRIDGE: "rooted_forest_rows(12) ends off the cell form r(12, m)",
+        PAPER_SUM: "rooted_forest_rows(12) ends off the cell form r(12, m)",
+    }, 12),
+    # The paper-sum check reads the r cell form up to n = 20 only
+    # (test_the_rooted_cell_band_ends_at_20), so this is the last row in
+    # which a fault of rooted_forest_count is seen at the default bound.
+    (chordforest.formulas, "rooted_forest_count", lambda f: _value_plus_one(f, 20, 5), {
+        PAPER_SUM: (
+            "r(n=20, m=5) lagrange-burmann=289790184665121505 paper-sum=289790184665121504"
+        ),
+    }, 60),
+    # the last row of the default bound
+    (chordforest.formulas, "tree_count", lambda f: _value_plus_one(f, 60), {
+        BRIDGE: (
+            "t(n=60) formula=4530954345822264258644101276351421147198184001 "
+            "series=4530954345822264258644101276351421147198184000"
+        ),
+    }, 60),
+    (chordforest.formulas, "forest_count", lambda f: _value_plus_one(f, 60, 30), {
+        BRIDGE: (
+            "f(n=60, m=30) formula=791579577312674820008336752194874248810749205224753345 "
+            "series=791579577312674820008336752194874248810749205224753344"
+        ),
+    }, 60),
+    (chordforest.formulas, "rooted_forest_rows", lambda f: _rows_plus_one(f, 60, 30), {
+        BRIDGE: f"r(n=60, m=30) formula={R_60_30 + 1} series={R_60_30}",
+        PAPER_SUM: f"r(n=60, m=30) lagrange-burmann={R_60_30 + 1} paper-sum={R_60_30}",
+    }, 60),
+    (chordforest.formulas, "rooted_forest_paper_rows", lambda f: _rows_plus_one(f, 60, 30), {
+        PAPER_SUM: f"r(n=60, m=30) lagrange-burmann={R_60_30} paper-sum={R_60_30 + 1}",
+    }, 60),
 ]
-# module.name, and -2 on a function's second row
-IDS = [f"{module.__name__}.{name}" for module, name, _, _ in ROWS]
+ROWS = [row if len(row) == 5 else (*row, MAX_N_FORMULA) for row in ROWS]
+# module.name, then -n30 on a row at bound 30 and -2 on a key's second row
+IDS = [
+    f"{module.__name__}.{name}" + f"-n{bound}" * (bound != MAX_N_FORMULA)
+    for module, name, _, _, bound in ROWS
+]
 IDS = [key + f"-{IDS[:i].count(key) + 1}" * (key in IDS[:i]) for i, key in enumerate(IDS)]
 
 
-def _assert_fails(capsys, argv, failures):
-    """``verify`` at ``argv`` fails exactly the checks of ``failures``, each
-    with its first counterexample, and passes every other."""
-    code = main(list(argv))
+def _verify(max_n_formula=MAX_N_FORMULA):
+    return main(["verify", "--max-n-formula", str(max_n_formula), "--max-n-brute", "3"])
+
+
+@pytest.mark.parametrize("module, name, corrupt, failures, max_n_formula", ROWS, ids=IDS)
+def test_planted_fault_fails_verify(
+    capsys, monkeypatch, module, name, corrupt, failures, max_n_formula
+):
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    code = _verify(max_n_formula)
     lines = capsys.readouterr().out.splitlines()
     assert code == EXIT_MISMATCH
     failed = {
@@ -264,34 +357,14 @@ def _assert_fails(capsys, argv, failures):
         if line.endswith(": FAIL")
     }
     assert failed == {
-        check: f"  first counterexample: {counterexample}"
+        check.format(max_n_formula): f"  first counterexample: {counterexample}"
         for check, counterexample in failures.items()
     }
     assert lines[-1] == f"{len(failures)} of 6 checks failed"
 
 
-@pytest.mark.parametrize("module, name, corrupt, failures", ROWS, ids=IDS)
-def test_planted_fault_fails_verify(capsys, monkeypatch, module, name, corrupt, failures):
-    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
-    _assert_fails(capsys, VERIFY, failures)
-
-
-def test_planted_fault_at_the_rooted_cell_band_edge_fails_verify(capsys, monkeypatch):
-    # The paper-sum check reads the r cell form up to n = 20 only, so this
-    # is the last row in which a fault of rooted_forest_count is seen.
+def test_the_rooted_cell_band_ends_at_20():
     assert chordforest.cli.ROOTED_CELL_VERIFY_MAX == 20
-    genuine = chordforest.formulas.rooted_forest_count
-    monkeypatch.setattr(
-        chordforest.formulas, "rooted_forest_count", _value_plus_one(genuine, 20, 5)
-    )
-    counterexample = (
-        "r(n=20, m=5) lagrange-burmann=289790184665121505 paper-sum=289790184665121504"
-    )
-    _assert_fails(
-        capsys,
-        ("verify", "--max-n-brute", "3"),
-        {"rooted-paper-sum-vs-lagrange-burmann (n<=60)": counterexample},
-    )
 
 
 def test_every_series_function_has_a_row():
@@ -302,13 +375,13 @@ def test_every_series_function_has_a_row():
             if inspect.isfunction(value) and value.__module__ == chordforest.series.__name__
         }
 
-    rows = {name for _, name, _, _ in ROWS}
+    rows = {name for _, name, *_ in ROWS}
     assert series_functions(chordforest.cli) <= rows
     assert series_functions(chordforest.series) <= rows
 
 
 def test_every_formulas_function_has_a_row():
-    rows = {name for module, name, _, _ in ROWS if module is chordforest.formulas}
+    rows = {name for module, name, *_ in ROWS if module is chordforest.formulas}
     assert set(chordforest.formulas.__all__) <= rows
 
 
@@ -327,7 +400,7 @@ def test_every_oracle_function_verify_calls_has_a_row(capsys, monkeypatch):
         value = getattr(chordforest.oracle, name)
         if inspect.isfunction(value):
             monkeypatch.setattr(chordforest.oracle, name, recording(name, value))
-    assert main(list(VERIFY)) == EXIT_OK
+    assert _verify() == EXIT_OK
     capsys.readouterr()
-    rows = {name for module, name, _, _ in ROWS if module is chordforest.oracle}
+    rows = {name for module, name, *_ in ROWS if module is chordforest.oracle}
     assert called and called <= rows

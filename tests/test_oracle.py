@@ -354,7 +354,7 @@ class TestEnumerateNoncrossingPartitions:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             noncrossing_partition_tallies(13)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_size must be >= 1, got 0"):
             noncrossing_partition_tallies(0)
 
 
