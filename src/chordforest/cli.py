@@ -112,23 +112,27 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _series(which: str, order: int) -> tuple[int, ...]:
+    """G, T or R modulo x^(order+1), as ``series`` prints it and ``verify``
+    reads it: ``ConsistencyError`` unless the engine returned order + 1
+    coefficients from the constant term 1 (G) or 0 (T, R)."""
+    if which == "G":
+        gf = solve_ternary_gf(order)
+    else:
+        gf = (tree_gf if which == "T" else rooted_gf)(max(order, 1))[: order + 1]
+    # G = 1 + x G^3 starts at 1; T = x G and R = x T' start at 0
+    constant = 1 if which == "G" else 0
+    if len(gf) != order + 1 or gf[0] != constant:
+        raise ConsistencyError(
+            f"series {which} to order {order} is not {order + 1} coefficients from {constant}"
+        )
+    return gf
+
+
 def cmd_series(args: argparse.Namespace) -> int:
     if not 0 <= args.order <= SERIES_ORDER_CAP:
         raise ValueError(f"--order must be in 0..{SERIES_ORDER_CAP}, got {args.order}")
-    if args.which == "G":
-        gf = solve_ternary_gf(args.order)
-    elif args.which == "T":
-        gf = tree_gf(max(args.order, 1))[: args.order + 1]
-    else:
-        gf = rooted_gf(max(args.order, 1))[: args.order + 1]
-    # G = 1 + x G^3 starts at 1; T = x G and R = x T' start at 0
-    constant = 1 if args.which == "G" else 0
-    if len(gf) != args.order + 1 or gf[0] != constant:
-        raise ConsistencyError(
-            f"series {args.which} to order {args.order} is not {args.order + 1} "
-            f"coefficients from {constant}"
-        )
-    for index, coefficient in enumerate(gf):
+    for index, coefficient in enumerate(_series(args.which, args.order)):
         print(f"{index},{coefficient}")
     return EXIT_OK
 
@@ -203,52 +207,52 @@ def _first_mismatch(cases: Iterable[tuple], left_name: str, right_name: str) -> 
     return None
 
 
+def _bridge_row(binomials: list[int], powers: list[tuple[int, ...]], n: int) -> Iterator:
+    """C(2n, m-1) [x^n] S^m / m for m = 1, 2, ..., from the binomials
+    C(2n, m-1) and the powers S^m; an inexact quotient is shown as a
+    fraction, which equals no count."""
+    for m, (binomial, power) in enumerate(zip(binomials, powers), start=1):
+        numerator = binomial * power[n]
+        quotient, remainder = divmod(numerator, m)
+        yield f"{numerator}/{m}" if remainder else quotient
+
+
 def _series_vs_formula(max_n: int, rooted_table) -> Iterator[tuple]:
     """Coefficient bridge: C(2n, m-1) [x^n] S^m / m against the closed forms.
 
-    T's powers come from :func:`tree_powers`, which steps them by the
-    engine's own equation x T = x^2 + T^3 with additions only.  The f cells
-    meet :func:`formulas.forest_count` first; then ``tree_count(n)`` and each
-    entry of ``tree_counts(max_n)`` meet [x^n] T, and each ``forest_row(n)``
-    meets the same f cells, so every kernel that ``count`` and ``table``
-    print t and f from is compared.  R's powers come from
-    :func:`rooted_powers`, which steps them by R's own cubic, so no power
-    of either series is a truncated product.  The r cells are read from
-    ``rooted_table()``, the table that :func:`_rooted_forms` shares.  T
-    comes from R's solve, t_n = r_n / n, so G is solved once.
+    R and T are read through :func:`_series`, the check that ``series``
+    prints them through, R first.  [x^n] T meets ``tree_count(n)`` for every
+    n, then row by row ``tree_counts(max_n)``; each f cell, from T's powers,
+    meets :func:`formulas.forest_count` and then ``forest_row(n)``, and each
+    r cell, from R's powers, the row of ``rooted_table()``, the table that
+    :func:`_rooted_forms` shares.  So every kernel that ``count`` and
+    ``table`` print t and f from is compared.  :func:`tree_powers` steps T's
+    powers by x T = x^2 + T^3 and :func:`rooted_powers` steps R's by R's own
+    cubic, so no power is a truncated product; both r sources are built
+    when the first r cell is compared, and the f and r cells of (n, m) share
+    one C(2n, m-1).
     """
-    r = rooted_gf(max_n)
-    t = [0]
-    for n in range(1, max_n + 1):
-        coefficient, remainder = divmod(r[n], n)
-        if remainder:
-            raise ConsistencyError(f"[x^{n}] R = {r[n]} is not divisible by n = {n}")
-        t.append(coefficient)
-
-    def bridged(power, n, m):
-        numerator = formulas.binomial(2 * n, m - 1) * power[n]
-        quotient, remainder = divmod(numerator, m)
-        # an inexact quotient is shown as a fraction, which equals no count
-        return f"{numerator}/{m}" if remainder else quotient
-
-    f_series = [[] for _ in range(max_n)]  # f_series[n-1][m-1]
-    for m, power in enumerate(tree_powers(t), start=1):
-        for n in range(m, max_n + 1):
-            series = bridged(power, n, m)
-            f_series[n - 1].append(series)
-            yield f"f(n={n}, m={m})", formulas.forest_count(n, m), series
+    r = _series("R", max_n)
+    t = _series("T", max_n)
     for n in range(1, max_n + 1):
         yield f"t(n={n})", formulas.tree_count(n), t[n]
-    for n, count in enumerate(formulas.tree_counts(max_n), start=1):
+    counts = formulas.tree_counts(max_n)
+    yield "cells of t(n)", len(counts), max_n
+    t_powers = tree_powers(t)
+    for n, count in enumerate(counts, start=1):
         yield f"t(n={n})", count, t[n]
-    for n, row in enumerate(f_series, start=1):
-        counts = formulas.forest_row(n)
-        for m, (count, series) in enumerate(zip(counts, row, strict=True), start=1):
+        binomials = [formulas.binomial(2 * n, m - 1) for m in range(1, n + 1)]
+        f_row = list(_bridge_row(binomials, t_powers, n))
+        for m, series in enumerate(f_row, start=1):
+            yield f"f(n={n}, m={m})", formulas.forest_count(n, m), series
+        row = formulas.forest_row(n)
+        yield f"cells of f(n={n}, m)", len(row), n
+        for m, (count, series) in enumerate(zip(row, f_row), start=1):
             yield f"f(n={n}, m={m})", count, series
-    table = rooted_table()
-    for m, power in enumerate(rooted_powers(r), start=1):
-        for n in range(m, max_n + 1):
-            yield f"r(n={n}, m={m})", table[n - 1][m - 1], bridged(power, n, m)
+        if n == 1:
+            table, r_powers = rooted_table(), rooted_powers(r)
+        for m, series in enumerate(_bridge_row(binomials, r_powers, n), start=1):
+            yield f"r(n={n}, m={m})", table[n - 1][m - 1], series
 
 
 def _tally_cases(n: int, forests: dict[int, int], rooted: dict[int, int]) -> Iterator[tuple]:
@@ -273,7 +277,11 @@ def _scan_cases(n: int, table: oracle.CountTable) -> Iterator[tuple]:
 
 
 def _formula_vs_bruteforce(max_n: int) -> Iterator[tuple]:
-    for n, table in enumerate(oracle.brute_force_tables(max_n), start=1):
+    """The scan's count of tables against ``max_n``, then each table of n
+    against the closed forms."""
+    tables = oracle.brute_force_tables(max_n)
+    yield f"scan tables (n<={max_n})", max_n, len(tables)
+    for n, table in enumerate(tables, start=1):
         yield from _scan_cases(n, table)
 
 
@@ -307,14 +315,13 @@ def _type_sum(max_n: int) -> Iterator[tuple]:
 
 
 def _series_identities(order: int) -> Iterator[tuple]:
-    """[x^n] R against n t_n, for n <= ``order``: ``rooted_gf`` against the
-    ``tree_gf`` that ``series --which T`` prints from.  Each builder re-checks
-    its own identity and raises ``ConsistencyError`` on a failure:
-    ``tree_gf(order + 1)`` solves and checks G at ``order`` first, so a
-    failure of G names ``order``; ``rooted_gf`` checks R's closed form, its
-    only check."""
-    t = tree_gf(order + 1)
-    r = rooted_gf(order)
+    """[x^n] R against n t_n, for n <= ``order``: R and T as ``series``
+    prints them, read through :func:`_series`.  Each builder re-checks its
+    own identity and raises ``ConsistencyError`` on a failure: T to
+    ``order + 1`` solves and checks G at ``order`` first, so a failure of G
+    names ``order``; ``rooted_gf`` checks R's closed form, its only check."""
+    t = _series("T", order + 1)
+    r = _series("R", order)
     for n in range(order + 1):
         yield f"[x^{n}]", r[n], n * t[n]
 

@@ -4,6 +4,7 @@ Every check is exact (tolerance zero).  One PASS/FAIL line is printed per
 criterion; run with ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
+import hashlib
 import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
@@ -36,6 +37,8 @@ KREWERAS_MAX = 12
 TYPE_SUM_MAX = 12
 IDENTITY_ORDER = 40
 FORMULA_MAX = 200
+# the stdout of `chordforest verify`, as the CI workflow also pins it
+VERIFY_DEFAULT_SHA256 = "3c40cd43532648dd75016d44fd3e493d2794c1d2f2c0229c493436ef924f4c3a"
 
 
 def _report(criterion, label, failures):
@@ -192,7 +195,10 @@ class TestCriterion9CliContract:
         code = main(["verify"])
         out = capsys.readouterr().out
         failures = [] if code == EXIT_OK else [f"exit={code}; output:\n{out}"]
-        _report(9, "verify with default caps exits 0", failures)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if digest != VERIFY_DEFAULT_SHA256:
+            failures.append(f"stdout sha256 {digest}, pinned {VERIFY_DEFAULT_SHA256}")
+        _report(9, "verify with default caps exits 0 and prints its pinned stdout", failures)
 
     def test_golden_forest_table(self, capsys):
         code = main(["table", "--kind", "f", "--max-n", "5", "--format", "csv"])

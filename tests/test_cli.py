@@ -330,8 +330,7 @@ class TestSeries:
         [("(0,) + solve_ternary_gf", "(1,) + solve_ternary_gf"), ("order - 1", "order - 2")],
     )
     def test_wrong_constant_term_or_length_exits_mismatch(self, capsys, monkeypatch, old, new):
-        # verify's series-identities check compares r_n with n t_n, which
-        # holds at n = 0 whatever t_0 is, and reads only the first 41 terms
+        # verify reads T through the same check, so it fails too
         monkeypatch.setattr(
             chordforest.cli, "tree_gf", _source_mutant(chordforest.series.tree_gf, old, new)
         )
@@ -339,6 +338,8 @@ class TestSeries:
         assert code == EXIT_MISMATCH
         assert out == ""
         assert err == "error: series T to order 5 is not 6 coefficients from 0\n"
+        code, _, _ = _run(capsys, "verify", "--max-n-formula", "8", "--max-n-brute", "3")
+        assert code == EXIT_MISMATCH
 
     def test_unknown_series_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

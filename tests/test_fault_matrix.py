@@ -4,13 +4,13 @@ A fault planted in any series function that the CLI reaches, in any public
 formulas function, or in any oracle function that ``verify`` calls, fails
 ``verify``; the guards below require a row for each such function.
 
-Each row corrupts one cell of one function's result, at the module attribute
-that its caller looks up: ``cli``'s own name for the series functions
-``cli`` calls, ``series``' for those that only other series functions call,
-and ``formulas``' and ``oracle``'s for the functions of those modules, which
-``cli`` and the module itself both look up there.  The row then runs
-``verify --max-n-brute 3`` and names every check that must fail, with its
-first counterexample; every other check must pass.  Most rows run at
+Each row corrupts one cell of one function's result, or drops its last one,
+at the module attribute that its caller looks up: ``cli``'s own name for the
+series functions ``cli`` calls, ``series``' for those that only other series
+functions call, and ``formulas``' and ``oracle``'s for the functions of those
+modules, which ``cli`` and the module itself both look up there.  The row
+then runs ``verify --max-n-brute 3`` and names every check that must fail,
+with its first counterexample; every other check must pass.  Most rows run at
 ``--max-n-formula 8``; a row that names a larger bound plants a fault that
 only that bound reaches, such as one in the last row a check reads.  This
 is mutation analysis (DeMillo, Lipton and Sayward, "Hints on Test Data
@@ -50,6 +50,15 @@ def _plus_one(genuine, cell, *at):
         if len(coeffs) > cell and (not at or args == at):
             coeffs[cell] += 1
         return tuple(coeffs)
+
+    return corrupted
+
+
+def _short(genuine):
+    """genuine with its result less its last coefficient, row or table."""
+
+    def corrupted(*args):
+        return genuine(*args)[:-1]
 
     return corrupted
 
@@ -171,19 +180,29 @@ ROWS = [
         BRIDGE: "f(n=5, m=2) formula=150 series=155",
     }),
     (chordforest.series, "solve_ternary_gf", lambda f: _plus_one(f, 5), {
+        BRIDGE: "t(n=6) formula=273 series=274",
         IDENTITIES: "[x^6] R=1638 xT'=1644",
     }),
     (chordforest.cli, "tree_gf", lambda f: _plus_one(f, 5), {
+        BRIDGE: "t(n=5) formula=55 series=56",
         IDENTITIES: "[x^5] R=275 xT'=280",
     }),
+    # the length check that series prints T through; identities reads T to 41
+    (chordforest.cli, "tree_gf", _short, {
+        BRIDGE: "series T to order 8 is not 9 coefficients from 0",
+        IDENTITIES: "series T to order 41 is not 42 coefficients from 0",
+    }),
     (chordforest.cli, "rooted_gf", lambda f: _plus_one(f, 5), {
-        BRIDGE: "[x^5] R = 276 is not divisible by n = 5",
+        BRIDGE: "R^3 has a non-integer coefficient at x^6",
         IDENTITIES: "[x^5] R=276 xT'=275",
     }),
-    # r_2 = 4, so t_2 = r_2 / 2 = 2, not 1
     (chordforest.cli, "rooted_gf", lambda f: _plus_one(_plus_one(f, 2), 2), {
-        BRIDGE: "f(n=2, m=1) formula=1 series=2",
+        BRIDGE: "R^3 has a non-integer coefficient at x^3",
         IDENTITIES: "[x^2] R=4 xT'=2",
+    }),
+    (chordforest.cli, "rooted_gf", _short, {
+        BRIDGE: "series R to order 8 is not 9 coefficients from 0",
+        IDENTITIES: "series R to order 40 is not 41 coefficients from 0",
     }),
     (chordforest.series, "_ternary_coefficients", lambda f: _plus_one(f, 5), {
         BRIDGE: R_CHECK,
@@ -213,6 +232,9 @@ ROWS = [
     }),
     (chordforest.formulas, "forest_row", lambda f: _plus_one(f, 2), {
         BRIDGE: "f(n=3, m=3) formula=6 series=5",
+    }),
+    (chordforest.formulas, "forest_row", _short, {
+        BRIDGE: "cells of f(n=1, m) formula=0 series=1",
     }),
     (chordforest.formulas, "kreweras_count", lambda f: _value_plus_one(f, (4, 2, 2)), {
         KREWERAS: "type (4, 2, 2) of [8] formula=29 bruteforce=28",
@@ -248,6 +270,9 @@ ROWS = [
     (chordforest.formulas, "tree_counts", lambda f: _plus_one(f, 4), {
         BRIDGE: "t(n=5) formula=56 series=55",
     }),
+    (chordforest.formulas, "tree_counts", _short, {
+        BRIDGE: "cells of t(n) formula=7 series=8",
+    }),
     (
         chordforest.formulas,
         "type_sum_forest_count",
@@ -276,6 +301,10 @@ ROWS = [
         lambda f: table_replaced(f, 3, rooted_by_trees=lambda by_m: {**by_m, 2: 0}),
         {BRUTE: "r(n=3, m=2) formula=12 bruteforce=0"},
     ),
+    # a scan that stops one table short
+    (chordforest.oracle, "brute_force_tables", _short, {
+        BRUTE: "scan tables (n<=3) formula=3 bruteforce=2",
+    }),
     (
         chordforest.oracle,
         "noncrossing_partition_tallies",
@@ -314,6 +343,12 @@ ROWS = [
         BRIDGE: (
             "t(n=60) formula=4530954345822264258644101276351421147198184001 "
             "series=4530954345822264258644101276351421147198184000"
+        ),
+    }, 60),
+    (chordforest.cli, "tree_gf", lambda f: _plus_one(f, 60), {
+        BRIDGE: (
+            "t(n=60) formula=4530954345822264258644101276351421147198184000 "
+            "series=4530954345822264258644101276351421147198184001"
         ),
     }, 60),
     (chordforest.formulas, "forest_count", lambda f: _value_plus_one(f, 60, 30), {
