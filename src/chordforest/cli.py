@@ -7,16 +7,23 @@ Subcommands: ``count`` (one exact value), ``table`` (CSV/JSON tables),
 
 Exit codes: 0 success, 1 verification mismatch (a failed ``verify`` check,
 or a ``ConsistencyError`` from an internal self-check in any command, printed
-as ``error: <message>`` on stderr), 2 usage or domain error, 3 output I/O
-error (an unwritable ``render --out`` file, or a stdout closed by its reader,
-as by ``| head``).  All values are printed as exact decimals, at any number
-of digits.
+as ``error: <message>`` on stderr) or internal error (any other exception,
+printed as ``error: internal error: <Type>: <message>``, after its traceback
+only under ``python -X dev``), 2 usage or domain error, 3 output I/O error
+(an unwritable ``render --out`` file, or a stdout closed by its reader, as by
+``| head``).  All values are printed as exact decimals, at any number of
+digits.
+
+``verify`` runs the paper's double sum for r in one forked worker, where
+``os.fork`` exists, beside its other checks; elsewhere the sum runs inline.
+Its output is the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import marshal
 import math
 import os
 import sys
@@ -225,7 +232,8 @@ def _series_vs_formula(max_n: int, rooted_table) -> Iterator[tuple]:
     n, then row by row ``tree_counts(max_n)``; each f cell, from T's powers,
     meets :func:`formulas.forest_count` and then ``forest_row(n)``, and each
     r cell, from R's powers, the row of ``rooted_table()``, the table that
-    :func:`_rooted_forms` shares.  So every kernel that ``count`` and
+    :func:`_rooted_forms` shares, once its rows are counted against
+    ``max_n``.  So every kernel that ``count`` and
     ``table`` print t and f from is compared.  :func:`tree_powers` steps T's
     powers by x T = x^2 + T^3 and :func:`rooted_powers` steps R's by R's own
     cubic, so no power is a truncated product; both r sources are built
@@ -251,6 +259,7 @@ def _series_vs_formula(max_n: int, rooted_table) -> Iterator[tuple]:
             yield f"f(n={n}, m={m})", count, series
         if n == 1:
             table, r_powers = rooted_table(), rooted_powers(r)
+            yield "rows of r(n, m)", len(table), max_n
         for m, series in enumerate(_bridge_row(binomials, r_powers, n), start=1):
             yield f"r(n={n}, m={m})", table[n - 1][m - 1], series
 
@@ -293,13 +302,21 @@ def _kreweras(max_n: int) -> Iterator[tuple]:
             yield f"type {sizes} of [{n}]", formulas.kreweras_count(sizes), seen
 
 
-def _rooted_forms(max_n: int, rooted_table) -> Iterator[tuple]:
+def _rooted_forms(max_n: int, rooted_table, paper_rows) -> Iterator[tuple]:
     """r(n, m) from ``rooted_table()`` against the paper's double sum, then
     the cell form that ``count --kind r`` prints from, for n up to
-    ``ROOTED_CELL_VERIFY_MAX``."""
-    rows = formulas.rooted_forest_paper_rows(max_n)
+    ``ROOTED_CELL_VERIFY_MAX``.
+
+    ``paper_rows()`` returns the sum's rows.  :func:`cmd_verify` starts it in
+    a worker (:func:`_forked`) before its first check, so the sum runs while
+    the bridge builds ``rooted_table()``.  The rows it returns, and each
+    row's cells, are counted before any cell is compared.
+    """
+    rows = paper_rows()
+    yield "rows of r(n, m)", max_n, len(rows)
     table = rooted_table()
     for n, row in enumerate(rows, start=1):
+        yield f"cells of r(n={n}, m)", n, len(row)
         for m, paper in enumerate(row, start=1):
             yield f"r(n={n}, m={m})", table[n - 1][m - 1], paper
     for n, row in enumerate(rows[:ROOTED_CELL_VERIFY_MAX], start=1):
@@ -326,6 +343,82 @@ def _series_identities(order: int) -> Iterator[tuple]:
         yield f"[x^{n}]", r[n], n * t[n]
 
 
+def _described(exc: Exception) -> str:
+    """``<Type>: <message>``, as a check or command that raised reports it."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _forked(function, *args):
+    """Start ``function(*args)`` in one forked worker and return a
+    zero-argument callable that reads the worker's result, reaps it and
+    returns the value.
+
+    The worker sends ``(True, value)`` or ``(False, message)`` by ``marshal``
+    through a pipe and leaves only by ``os._exit``, so it never returns into
+    the caller or flushes its stdout.  A failure in the worker, or a worker
+    that exits without a result, raises ``ConsistencyError``.  The
+    callable's ``reap()`` kills and reaps a worker whose result was never
+    read; call it on every path.  The CLI starts no thread, so forking it is
+    safe.  Without ``os.fork`` (Windows) the callable runs ``function(*args)``
+    inline.
+    """
+    if not hasattr(os, "fork"):
+
+        def inline():
+            return function(*args)
+
+        inline.reap = lambda: None
+        return inline
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                payload = (True, function(*args))
+            except ConsistencyError as exc:
+                payload = (False, str(exc))
+            except Exception as exc:
+                payload = (False, _described(exc))
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(payload))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    pipe = open(read_end, "rb")
+
+    def result():
+        nonlocal pid
+        with pipe:
+            payload = pipe.read()
+        _, wait_status = os.waitpid(pid, 0)
+        pid = 0
+        status = os.waitstatus_to_exitcode(wait_status)
+        if not status:
+            try:
+                succeeded, value = marshal.loads(payload)
+            except (EOFError, TypeError, ValueError):  # empty or unreadable
+                pass
+            else:
+                if succeeded:
+                    return value
+                raise ConsistencyError(value)
+        raise ConsistencyError(f"paper-sum worker exited with status {status} and no result")
+
+    def reap():
+        pipe.close()
+        if pid:
+            import signal  # only a worker whose result was never read
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    result.reap = reap
+    return result
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n_formula < 1 or args.max_n_brute < 1:
         raise ValueError("verification bounds must be >= 1")
@@ -342,63 +435,72 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def rooted_table() -> list[list[int]]:
         return list(formulas.rooted_forest_rows(args.max_n_formula))
 
-    # (check, its cases, their left and right names); each generator runs
-    # only when its check's turn comes.
-    suites = (
-        (
-            f"formula-vs-series (n<={args.max_n_formula})",
-            _series_vs_formula(args.max_n_formula, rooted_table),
-            "formula",
-            "series",
-        ),
-        (
-            f"rooted-paper-sum-vs-lagrange-burmann (n<={args.max_n_formula})",
-            _rooted_forms(args.max_n_formula, rooted_table),
-            "lagrange-burmann",
-            "paper-sum",
-        ),
-        (
-            f"formula-vs-bruteforce (n<={args.max_n_brute})",
-            _formula_vs_bruteforce(args.max_n_brute),
-            "formula",
-            "bruteforce",
-        ),
-        (
-            f"kreweras-vs-enumeration (N<={KREWERAS_VERIFY_MAX})",
-            _kreweras(KREWERAS_VERIFY_MAX),
-            "formula",
-            "bruteforce",
-        ),
-        (
-            f"type-sum-vs-closed-form (n<={TYPE_SUM_VERIFY_MAX})",
-            _type_sum(TYPE_SUM_VERIFY_MAX),
-            "formula",
-            "type-sum",
-        ),
-        (
-            f"series-identities (order {IDENTITY_ORDER})",
-            _series_identities(IDENTITY_ORDER),
-            "R",
-            "xT'",
-        ),
-    )
-    failures = 0
-    for name, cases, left_name, right_name in suites:
-        try:
-            mismatch = _first_mismatch(cases, left_name, right_name)
-        except ConsistencyError as exc:
-            mismatch = str(exc)
-        if mismatch is None:
-            print(f"check {name}: PASS")
-        else:
-            failures += 1
-            print(f"check {name}: FAIL")
-            print(f"  first counterexample: {mismatch}")
-    if failures:
-        print(f"{failures} of {len(suites)} checks failed")
-        return EXIT_MISMATCH
-    print(f"all {len(suites)} checks passed")
-    return EXIT_OK
+    # The paper sum needs nothing from the other checks but max_n, so it runs
+    # on another core while the bridge walks its rows; no worker outlives
+    # this call.
+    paper_rows = _forked(formulas.rooted_forest_paper_rows, args.max_n_formula)
+    try:
+        # (check, its cases, their left and right names); each generator runs
+        # only when its check's turn comes.
+        suites = (
+            (
+                f"formula-vs-series (n<={args.max_n_formula})",
+                _series_vs_formula(args.max_n_formula, rooted_table),
+                "formula",
+                "series",
+            ),
+            (
+                f"rooted-paper-sum-vs-lagrange-burmann (n<={args.max_n_formula})",
+                _rooted_forms(args.max_n_formula, rooted_table, paper_rows),
+                "lagrange-burmann",
+                "paper-sum",
+            ),
+            (
+                f"formula-vs-bruteforce (n<={args.max_n_brute})",
+                _formula_vs_bruteforce(args.max_n_brute),
+                "formula",
+                "bruteforce",
+            ),
+            (
+                f"kreweras-vs-enumeration (N<={KREWERAS_VERIFY_MAX})",
+                _kreweras(KREWERAS_VERIFY_MAX),
+                "formula",
+                "bruteforce",
+            ),
+            (
+                f"type-sum-vs-closed-form (n<={TYPE_SUM_VERIFY_MAX})",
+                _type_sum(TYPE_SUM_VERIFY_MAX),
+                "formula",
+                "type-sum",
+            ),
+            (
+                f"series-identities (order {IDENTITY_ORDER})",
+                _series_identities(IDENTITY_ORDER),
+                "R",
+                "xT'",
+            ),
+        )
+        failures = 0
+        for name, cases, left_name, right_name in suites:
+            try:
+                mismatch = _first_mismatch(cases, left_name, right_name)
+            except ConsistencyError as exc:
+                mismatch = str(exc)
+            except Exception as exc:  # a check that raises fails; the rest run on
+                mismatch = _described(exc)
+            if mismatch is None:
+                print(f"check {name}: PASS")
+            else:
+                failures += 1
+                print(f"check {name}: FAIL")
+                print(f"  first counterexample: {mismatch}")
+        if failures:
+            print(f"{failures} of {len(suites)} checks failed")
+            return EXIT_MISMATCH
+        print(f"all {len(suites)} checks passed")
+        return EXIT_OK
+    finally:
+        paper_rows.reap()
 
 
 # -- render ------------------------------------------------------------------
@@ -559,6 +661,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
+    except Exception as exc:
+        # A bug, as a failed self-check is, so exit 1 and no traceback, but
+        # under python -X dev, which debugging runs, the traceback first.
+        if sys.flags.dev_mode:
+            import traceback
+
+            traceback.print_exc()
+        print(f"error: internal error: {_described(exc)}", file=sys.stderr)
         return EXIT_MISMATCH
     finally:
         sys.set_int_max_str_digits(digit_limit)

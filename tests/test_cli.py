@@ -7,13 +7,13 @@ its reader.
 
 import errno
 import hashlib
-import inspect
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ElementTree
 from types import SimpleNamespace
 
@@ -39,7 +39,8 @@ from chordforest.formulas import (
     rooted_forest_count,
     tree_count,
 )
-from test_fault_matrix import table_replaced
+from test_fault_matrix import _source_mutant, table_replaced
+from test_pins import PINS
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -48,17 +49,6 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _source_mutant(function, old, new):
-    """``function`` recompiled in its module's namespace with the one
-    occurrence of ``old`` in its source replaced by ``new``: a planted fault
-    of the kind a mutation run makes."""
-    source = inspect.getsource(function)
-    assert source.count(old) == 1
-    namespace = dict(vars(inspect.getmodule(function)))
-    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
-    return namespace[function.__name__]
 
 
 class TestCount:
@@ -670,6 +660,129 @@ class TestVerify:
         code, _, err = _run(capsys, "verify", "--max-n-brute", "13")
         assert code == EXIT_USAGE
         assert "cap" in err
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="without os.fork the sum runs inline")
+class TestVerifyWorker:
+    """verify's paper sum in its forked worker: the stdout of the inline
+    sum, on every path a FAIL line and never a hang, and no worker left."""
+
+    SMALL = ("verify", "--max-n-formula", "8", "--max-n-brute", "3")
+
+    def test_inline_sum_prints_the_same_bytes(self, capsys, monkeypatch):
+        genuine = chordforest.formulas.rooted_forest_paper_rows
+        calls = []
+
+        def recorded(max_n):
+            calls.append(max_n)
+            return genuine(max_n)
+
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_paper_rows", recorded)
+        forked = _run(capsys, *self.SMALL)
+        assert calls == []  # made in the worker
+        monkeypatch.delattr(os, "fork")
+        assert _run(capsys, *self.SMALL) == forked
+        assert calls == [8]
+        code, out, _ = _run(capsys, "verify")
+        assert code == EXIT_OK
+        data = out.encode()
+        pin = PINS["verify"]
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (pin["sha256"], pin["bytes"])
+
+    def test_no_worker_outlives_a_pass(self, capsys):
+        assert _run(capsys, *self.SMALL)[0] == EXIT_OK
+        _no_child_left()
+
+    def test_no_worker_outlives_a_fault_in_it(self, capsys, monkeypatch):
+        def failing(max_n):
+            raise ConsistencyError(f"planted at max_n={max_n}")
+
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_paper_rows", failing)
+        code, out, _ = _run(capsys, *self.SMALL)
+        assert code == EXIT_MISMATCH
+        assert out.splitlines()[1:3] == [
+            "check rooted-paper-sum-vs-lagrange-burmann (n<=8): FAIL",
+            "  first counterexample: planted at max_n=8",
+        ]
+        _no_child_left()
+
+    def test_no_worker_outlives_a_closed_stdout(self, monkeypatch):
+        # The first line, the bridge's, is written before the paper check
+        # reads the worker, which would take a minute: it must be killed.
+        # cmd_verify is called directly, since main would point the real
+        # stdout at devnull.
+        monkeypatch.setattr(
+            chordforest.formulas, "rooted_forest_paper_rows", lambda max_n: time.sleep(60)
+        )
+
+        class ClosedStdout:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        args = chordforest.cli.build_parser().parse_args(self.SMALL)
+        start = time.perf_counter()
+        with pytest.raises(BrokenPipeError):
+            chordforest.cli.cmd_verify(args)
+        assert time.perf_counter() - start < 30
+        _no_child_left()
+
+    def test_worker_without_a_result_is_a_fail_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            chordforest.formulas, "rooted_forest_paper_rows", lambda max_n: os._exit(3)
+        )
+        code, out, _ = _run(capsys, *self.SMALL)
+        assert code == EXIT_MISMATCH
+        assert out.splitlines()[1:3] == [
+            "check rooted-paper-sum-vs-lagrange-burmann (n<=8): FAIL",
+            "  first counterexample: paper-sum worker exited with status 3 and no result",
+        ]
+        assert out.splitlines()[-1] == "1 of 6 checks failed"
+        _no_child_left()
+
+
+def _flags(**changes):
+    """sys.flags as a namespace, with ``changes`` applied."""
+    names = [name for name in dir(sys.flags) if not name.startswith(("_", "n_"))]
+    flags = {name: getattr(sys.flags, name) for name in names}
+    kept = {name: flag for name, flag in flags.items() if not callable(flag)}
+    return SimpleNamespace(**{**kept, **changes})
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("dev_mode", [False, True], ids=["plain", "dev-mode"])
+    def test_uncaught_exception_exits_mismatch(self, capsys, monkeypatch, dev_mode):
+        def failing(max_n):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(chordforest.formulas, "tree_counts", failing)
+        # python -X dev adds the traceback; otherwise there is none
+        monkeypatch.setattr(sys, "flags", _flags(dev_mode=dev_mode))
+        code, out, err = _run(capsys, "table", "--kind", "t", "--max-n", "3")
+        assert code == EXIT_MISMATCH
+        assert out == "kind,n,m,value\n"
+        assert err.endswith("error: internal error: IndexError: list index out of range\n")
+        assert ("Traceback" in err) == dev_mode
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "count --kind f --n 3 --m 5",
+            "table --kind f --max-n 0",
+            "series --which G --order 601",
+            "enumerate --n 13",
+            "verify --max-n-formula 0",
+        ],
+    )
+    def test_usage_errors_still_exit_usage(self, capsys, argv):
+        code, out, err = _run(capsys, *argv.split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "internal error" not in err
 
 
 class TestRender:

@@ -4,15 +4,18 @@ A fault planted in any series function that the CLI reaches, in any public
 formulas function, or in any oracle function that ``verify`` calls, fails
 ``verify``; the guards below require a row for each such function.
 
-Each row corrupts one cell of one function's result, or drops its last one,
-at the module attribute that its caller looks up: ``cli``'s own name for the
-series functions ``cli`` calls, ``series``' for those that only other series
-functions call, and ``formulas``' and ``oracle``'s for the functions of those
-modules, which ``cli`` and the module itself both look up there.  The row
-then runs ``verify --max-n-brute 3`` and names every check that must fail,
-with its first counterexample; every other check must pass.  Most rows run at
-``--max-n-formula 8``; a row that names a larger bound plants a fault that
-only that bound reaches, such as one in the last row a check reads.  This
+Each row corrupts one cell of one function's result, drops its last one, or
+plants a fault that raises, at the module attribute that its caller looks
+up: ``cli``'s own name for the series functions ``cli`` calls, ``series``'
+for those that only other series functions call, and ``formulas``' and
+``oracle``'s for the functions of those modules, which ``cli`` and the
+module itself both look up there.  The row then runs
+``verify --max-n-brute 3`` and names every check that must fail, with its
+first counterexample; every other check must pass.  A fault in
+``rooted_forest_paper_rows`` runs in ``verify``'s forked worker, which
+inherits the planted attribute and sends its message back.  Most rows run
+at ``--max-n-formula 8``; a row that names a larger bound plants a fault
+that only that bound reaches, such as one in the last row a check reads.  This
 is mutation analysis (DeMillo, Lipton and Sayward, "Hints on Test Data
 Selection", IEEE Computer 11(4), 1978) turned on the claim that the three
 routes check each other.
@@ -58,9 +61,31 @@ def _short(genuine):
     """genuine with its result less its last coefficient, row or table."""
 
     def corrupted(*args):
-        return genuine(*args)[:-1]
+        return list(genuine(*args))[:-1]
 
     return corrupted
+
+
+def _last_row_short(genuine):
+    """A table of rows with its last row less its last cell."""
+
+    def corrupted(max_n):
+        rows = list(genuine(max_n))
+        rows[-1] = rows[-1][:-1]
+        return rows
+
+    return corrupted
+
+
+def _source_mutant(function, old, new):
+    """``function`` recompiled in its module's namespace with the one
+    occurrence of ``old`` in its source replaced by ``new``: a planted fault
+    of the kind a mutation run makes; test_cli plants it too."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
 
 
 def _value_plus_one(genuine, *cell):
@@ -252,9 +277,30 @@ ROWS = [
     (chordforest.formulas, "rooted_forest_paper_rows", lambda f: _rows_plus_one(f, 5, 2), {
         PAPER_SUM: "r(n=5, m=2) lagrange-burmann=660 paper-sum=661",
     }),
+    # The sum's rows cross a process boundary, so their shape is counted.
+    (chordforest.formulas, "rooted_forest_paper_rows", _short, {
+        PAPER_SUM: "rows of r(n, m) lagrange-burmann=8 paper-sum=7",
+    }),
+    (chordforest.formulas, "rooted_forest_paper_rows", _last_row_short, {
+        PAPER_SUM: "cells of r(n=8, m) lagrange-burmann=8 paper-sum=7",
+    }),
+    # A check that raises is a FAIL line, here raised in the sum's worker:
+    # the weight step C(m+j-1, j) 3^j divides by j - 1, which is 0 at j = 1.
+    (
+        chordforest.formulas,
+        "rooted_forest_paper_rows",
+        lambda f: _source_mutant(f, "(m + j - 1), j)", "(m + j - 1), j - 1)"),
+        {PAPER_SUM: "ZeroDivisionError: integer division or modulo by zero"},
+    ),
     (chordforest.formulas, "rooted_forest_rows", lambda f: _rows_plus_one(f, 5, 2), {
         BRIDGE: "r(n=5, m=2) formula=661 series=660",
         PAPER_SUM: "r(n=5, m=2) lagrange-burmann=661 paper-sum=660",
+    }),
+    # The bridge counts the table's rows where it first reads it; the
+    # paper-sum check then meets the missing row as an IndexError.
+    (chordforest.formulas, "rooted_forest_rows", _short, {
+        BRIDGE: "rows of r(n, m) formula=7 series=8",
+        PAPER_SUM: "IndexError: list index out of range",
     }),
     # The row kernel and the cell form share this chain, so the row kernel's
     # last-row check cannot see the fault; the next step's exact division
