@@ -13,7 +13,7 @@ from .diagrams import (
     from_pairs,
     parse_diagram,
 )
-from .errors import ConsistencyError, EnumerationCapError
+from .errors import ConsistencyError
 from .formulas import (
     binomial,
     catalan,

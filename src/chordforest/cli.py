@@ -14,6 +14,10 @@ only under ``python -X dev``), 2 usage or domain error, 3 output I/O error
 ``| head``).  All values are printed as exact decimals, at any number of
 digits.
 
+The caps on the sizes a user can type (``DIAGRAM_CAP``, ``SCAN_CAP``,
+``SERIES_ORDER_CAP``) live here alone: the kernels take any size in their
+domain.
+
 ``verify`` runs the paper's double sum for r in one forked worker, where
 ``os.fork`` exists, beside its other checks; elsewhere the sum runs inline.
 Its output is the same either way.
@@ -44,6 +48,8 @@ TYPE_SUM_VERIFY_MAX = 12
 ROOTED_CELL_VERIFY_MAX = 20
 IDENTITY_ORDER = 40
 SERIES_ORDER_CAP = 600
+DIAGRAM_CAP = 8  # enumerate --list, which visits every forest
+SCAN_CAP = 12  # the transfer-matrix scan: enumerate's tallies, verify --max-n-brute
 LIST_CHUNK_LINES = 1024  # enumerate --list lines per stdout write
 # verify --threads selects nothing.  perfbench's verify command line passes
 # --threads 1, so the flag goes when that command line drops it.
@@ -146,14 +152,13 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     # the tallies come from the scan; only the listing walks every forest
-    cap = oracle.DIAGRAM_CAP if args.list else oracle.SCAN_CAP
+    cap = DIAGRAM_CAP if args.list else SCAN_CAP
     if args.n > cap and not args.force:
         raise ValueError(
             f"--n {args.n} exceeds the enumeration cap of {cap}; pass --force to override"
         )
-    cap = max(args.n, cap)
     # the scan's table against the closed forms, before a line is printed
-    table = oracle.brute_force_counts(args.n, cap=cap)
+    table = oracle.brute_force_counts(args.n)
     mismatch = _first_mismatch(_scan_cases(args.n, table), "formula", "bruteforce")
     if mismatch is not None:
         raise ConsistencyError(f"enumerate --n {args.n}: {mismatch}")
@@ -177,7 +182,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         tails: dict[tuple[int, ...], list] = {}
         write = sys.stdout.write
         lines: list[str] = []
-        for chords, sizes in oracle.iter_forests(args.n, cap=cap):
+        for chords, sizes in oracle.iter_forests(args.n):
             tail = tails.get(sizes)
             if tail is None:
                 text_of_sizes = f" m={len(sizes)} sizes={','.join(map(str, sizes))}\n"
@@ -343,8 +348,11 @@ def _series_identities(order: int) -> Iterator[tuple]:
         yield f"[x^{n}]", r[n], n * t[n]
 
 
-def _described(exc: Exception) -> str:
-    """``<Type>: <message>``, as a check or command that raised reports it."""
+def _failure(exc: Exception) -> str:
+    """How a failure reads: a ``ConsistencyError``'s message, or
+    ``<Type>: <message>`` for any other exception."""
+    if isinstance(exc, ConsistencyError):
+        return str(exc)
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -377,10 +385,8 @@ def _forked(function, *args):
             os.close(read_end)
             try:
                 payload = (True, function(*args))
-            except ConsistencyError as exc:
-                payload = (False, str(exc))
             except Exception as exc:
-                payload = (False, _described(exc))
+                payload = (False, _failure(exc))
             with open(write_end, "wb") as pipe:
                 pipe.write(marshal.dumps(payload))
             status = 0
@@ -424,10 +430,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("verification bounds must be >= 1")
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    if args.max_n_brute > oracle.SCAN_CAP:
+    if args.max_n_brute > SCAN_CAP:
         raise ValueError(
-            f"--max-n-brute {args.max_n_brute} exceeds the enumeration cap "
-            f"of {oracle.SCAN_CAP}"
+            f"--max-n-brute {args.max_n_brute} exceeds the enumeration cap of {SCAN_CAP}"
         )
     # Both r checks read one table of rooted_forest_rows, one s chain per m,
     # built by whichever runs first; the cache lives for this call only.
@@ -484,10 +489,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for name, cases, left_name, right_name in suites:
             try:
                 mismatch = _first_mismatch(cases, left_name, right_name)
-            except ConsistencyError as exc:
-                mismatch = str(exc)
             except Exception as exc:  # a check that raises fails; the rest run on
-                mismatch = _described(exc)
+                mismatch = _failure(exc)
             if mismatch is None:
                 print(f"check {name}: PASS")
             else:
@@ -669,7 +672,7 @@ def main(argv: list[str] | None = None) -> int:
             import traceback
 
             traceback.print_exc()
-        print(f"error: internal error: {_described(exc)}", file=sys.stderr)
+        print(f"error: internal error: {_failure(exc)}", file=sys.stderr)
         return EXIT_MISMATCH
     finally:
         sys.set_int_max_str_digits(digit_limit)

@@ -8,7 +8,3 @@ class ConsistencyError(RuntimeError):
     leaves a remainder, or when two independently computed results disagree.
     Always indicates a bug, never bad input.
     """
-
-
-class EnumerationCapError(ValueError):
-    """An exhaustive enumeration was requested above its configured size cap."""

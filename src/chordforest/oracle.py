@@ -17,9 +17,9 @@ right ends it spans.  The deliberately dumb sweep, a generator of all
 of both.  The non-crossing partitions of [N] come from a stack sweep that
 visits only them, and one sweep of [N] tallies every ground set up to N
 (:func:`noncrossing_partition_tallies`).  Forest types are the
-partitions of n into m parts.  Enumeration order is deterministic, and
-sizes are guarded by caps so a typo'd n fails fast instead of running for
-hours; pass a larger ``cap`` explicitly to go above a default.
+partitions of n into m parts.  Enumeration order is deterministic.  Every
+n >= 1 is accepted; the cost grows fast with n, so the CLI, not this module,
+caps the sizes a user can ask for.
 """
 
 from __future__ import annotations
@@ -29,16 +29,8 @@ from collections.abc import Iterator
 
 # unused here, but bound: perfbench's tracer rebinds oracle.classify_chords
 from .diagrams import Chord, classify_chords  # noqa: F401
-from .errors import EnumerationCapError
-
-DIAGRAM_CAP = 8  # the sweeps that visit every diagram or forest
-SCAN_CAP = 12  # the transfer-matrix scan
-PARTITION_CAP = 12
 
 __all__ = [
-    "DIAGRAM_CAP",
-    "PARTITION_CAP",
-    "SCAN_CAP",
     "CountTable",
     "brute_force_counts",
     "brute_force_tables",
@@ -52,23 +44,15 @@ __all__ = [
 ForestSweep = Iterator[tuple[tuple[Chord, ...], tuple[int, ...]]]
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise EnumerationCapError(
-            f"{what} at n={n} exceeds the cap of {cap}; pass a larger cap to override"
-        )
-
-
-def enumerate_diagrams(n: int, cap: int = DIAGRAM_CAP) -> Iterator[tuple[Chord, ...]]:
+def enumerate_diagrams(n: int) -> Iterator[tuple[Chord, ...]]:
     """All (2n-1)!! diagrams of size n, once each, as canonical chord tuples.
 
     The smallest unmatched point is paired with each larger unmatched point
-    in ascending order, so the order is deterministic.  The domain and the
-    cap are checked when called, not when first iterated.
+    in ascending order, so the order is deterministic.  The domain is
+    checked when called, not when first iterated.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_cap(n, cap, "diagram enumeration")
 
     def pairings(points: tuple[int, ...]) -> Iterator[tuple[Chord, ...]]:
         if not points:
@@ -99,7 +83,7 @@ class CountTable(
         return sum(self.forests_by_trees.values())
 
 
-def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
+def iter_forests(n: int) -> ForestSweep:
     """Every forest diagram of size n with its tree sizes, in enumeration order.
 
     Yields ``(chords, sizes)``: the canonical chord tuple and the chords per
@@ -127,7 +111,6 @@ def iter_forests(n: int, cap: int = DIAGRAM_CAP) -> ForestSweep:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_cap(n, cap, "forest sweep")
     top = 2 * n
     # label[p] is 0 while p is unmatched.  Once p is the right end of a
     # placed chord, it names that chord's component.  Left ends lie below
@@ -199,7 +182,7 @@ def _carry(layer: ScanLayer, state, tallies: dict[int, list[int]]) -> None:
         entry[1] += weight
 
 
-def brute_force_tables(max_n: int, cap: int = SCAN_CAP) -> list[CountTable]:
+def brute_force_tables(max_n: int) -> list[CountTable]:
     """[brute_force_counts(1), ..., brute_force_counts(max_n)] from one scan.
 
     A transfer-matrix scan over the 2 max_n points, one layer per point:
@@ -221,7 +204,6 @@ def brute_force_tables(max_n: int, cap: int = SCAN_CAP) -> list[CountTable]:
     """
     if max_n < 1:
         raise ValueError(f"n must be >= 1, got {max_n}")
-    _check_cap(max_n, cap, "diagram sweep")
     tables: list[CountTable] = []
     layer: ScanLayer = {((), ()): {0: [1, 1]}}
     cyclic: Counter[int] = Counter()  # open chords -> scans that closed a cycle
@@ -273,17 +255,15 @@ def brute_force_tables(max_n: int, cap: int = SCAN_CAP) -> list[CountTable]:
     return tables
 
 
-def brute_force_counts(n: int, cap: int = SCAN_CAP) -> CountTable:
+def brute_force_counts(n: int) -> CountTable:
     """Tally the forest diagrams of size n, and rooted forests, by m.
 
     The last table of one scan to n, :func:`brute_force_tables`.
     """
-    return brute_force_tables(n, cap)[-1]
+    return brute_force_tables(n)[-1]
 
 
-def noncrossing_partition_tallies(
-    max_size: int, cap: int = PARTITION_CAP
-) -> list[dict[tuple[int, ...], int]]:
+def noncrossing_partition_tallies(max_size: int) -> list[dict[tuple[int, ...], int]]:
     """Non-crossing partitions of [N] tallied by type, for N = 1..max_size, in one sweep.
 
     A type is the tuple of block sizes in descending order.  The sweep keeps
@@ -309,7 +289,6 @@ def noncrossing_partition_tallies(
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
-    _check_cap(max_size, cap, "set-partition sweep")
     # by_blocks[N-1]: block sizes of [N], oldest block first -> partitions
     by_blocks: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_size)]
     sizes: list[int] = []  # every block's size, oldest first

@@ -28,6 +28,7 @@ from chordforest.oracle import (
     noncrossing_partition_tallies,
 )
 from chordforest.series import mul, rooted_gf, solve_ternary_gf, tree_gf
+from test_pins import PINS
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -37,8 +38,6 @@ KREWERAS_MAX = 12
 TYPE_SUM_MAX = 12
 IDENTITY_ORDER = 40
 FORMULA_MAX = 200
-# the stdout of `chordforest verify`, as the CI workflow also pins it
-VERIFY_DEFAULT_SHA256 = "3c40cd43532648dd75016d44fd3e493d2794c1d2f2c0229c493436ef924f4c3a"
 
 
 def _report(criterion, label, failures):
@@ -50,9 +49,7 @@ def _report(criterion, label, failures):
 @pytest.fixture(scope="module")
 def sweep_tables():
     """One shared exhaustive sweep for criteria 1-3."""
-    return {
-        n: brute_force_counts(n, cap=BRUTE_MAX) for n in range(1, BRUTE_MAX + 1)
-    }
+    return {n: brute_force_counts(n) for n in range(1, BRUTE_MAX + 1)}
 
 
 def test_criterion_1_forest_counts_match_bruteforce(sweep_tables):
@@ -196,8 +193,9 @@ class TestCriterion9CliContract:
         out = capsys.readouterr().out
         failures = [] if code == EXIT_OK else [f"exit={code}; output:\n{out}"]
         digest = hashlib.sha256(out.encode()).hexdigest()
-        if digest != VERIFY_DEFAULT_SHA256:
-            failures.append(f"stdout sha256 {digest}, pinned {VERIFY_DEFAULT_SHA256}")
+        pinned = PINS["verify"]["sha256"]
+        if digest != pinned:
+            failures.append(f"stdout sha256 {digest}, pinned {pinned}")
         _report(9, "verify with default caps exits 0 and prints its pinned stdout", failures)
 
     def test_golden_forest_table(self, capsys):

@@ -16,7 +16,6 @@ from collections import Counter
 import pytest
 
 from chordforest.diagrams import classify_chords
-from chordforest.errors import EnumerationCapError
 from chordforest.formulas import (
     catalan,
     double_factorial_pairings,
@@ -105,12 +104,9 @@ class TestEnumerateDiagrams:
         assert visited[-1] == ((1, 6), (2, 5), (3, 4))
         assert visited == list(enumerate_diagrams(3))
 
-    def test_cap(self):
-        with pytest.raises(EnumerationCapError):
-            enumerate_diagrams(9)
-        with pytest.raises(EnumerationCapError):
-            enumerate_diagrams(3, cap=2)
-        assert sum(1 for _ in enumerate_diagrams(3, cap=3)) == 15
+    def test_starts_above_the_cli_caps(self):
+        # the oracle takes any n >= 1; only the CLI caps n
+        assert next(enumerate_diagrams(9)) == tuple((k, k + 1) for k in range(1, 18, 2))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -181,22 +177,20 @@ class TestBruteForceCounts:
 
     def test_one_scan_equals_a_scan_per_bound_up_to_ten(self):
         # a scan to n prunes for 2n points, a scan to 10 for 20
-        for n, table in enumerate(brute_force_tables(10, cap=10), start=1):
-            alone = brute_force_counts(n, cap=10)
+        for n, table in enumerate(brute_force_tables(10), start=1):
+            alone = brute_force_counts(n)
             assert table == alone
             assert list(table.forests_by_trees) == list(alone.forests_by_trees)
 
     def test_tables_domain_and_cap(self):
         with pytest.raises(ValueError):
             brute_force_tables(0)
-        with pytest.raises(EnumerationCapError):
-            brute_force_tables(13)
 
     def test_total_is_double_factorial_up_to_ten(self):
         pairings = 1
         for k in range(1, 11):
             pairings *= 2 * k - 1
-            assert brute_force_counts(k, cap=10).total_diagrams == pairings
+            assert brute_force_counts(k).total_diagrams == pairings
 
     def test_cli_import_loads_no_pool_modules(self):
         loaded = (
@@ -219,10 +213,6 @@ class TestBruteForceCounts:
             timeout=60,
         )
         assert result.stdout == "False False\nFalse False\n", result.stderr
-
-    def test_cap(self):
-        with pytest.raises(EnumerationCapError):
-            brute_force_counts(13)
 
 
 class TestIterForests:
@@ -252,11 +242,14 @@ class TestIterForests:
         assert ((1, 4), (2, 5), (3, 6)) not in forests
 
     def test_cap_and_domain(self):
-        with pytest.raises(EnumerationCapError):
-            iter_forests(9)
         with pytest.raises(ValueError):
             iter_forests(0)
-        assert len(list(iter_forests(3, cap=3))) == 14
+        assert len(list(iter_forests(3))) == 14
+
+    def test_starts_above_the_cli_caps(self):
+        # the oracle takes any n >= 1; only the CLI caps n
+        chords = tuple((k, k + 1) for k in range(1, 18, 2))
+        assert next(iter_forests(9)) == (chords, (1,) * 9)
 
 
 class TestForestsByType:
@@ -352,8 +345,6 @@ class TestEnumerateNoncrossingPartitions:
             assert list(tally.items()) == list(_literal_partition_tallies(n).items())
 
     def test_cap(self):
-        with pytest.raises(EnumerationCapError):
-            noncrossing_partition_tallies(13)
         with pytest.raises(ValueError, match="max_size must be >= 1, got 0"):
             noncrossing_partition_tallies(0)
 

@@ -3,11 +3,14 @@
 The file maps a command line (after ``chordforest``) to the sha256 and byte
 count of its stdout.  ``tests/check_pins.py`` runs every pin through the
 installed entry point, as CI does; this test runs every pin that takes well
-under a second in-process, so a changed PASS byte fails tier-1 too.
+under a second in-process, so a changed PASS byte fails tier-1 too, and runs
+the script itself against a stand-in command.
 """
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,35 @@ def test_pinned_stdout(capsys, line):
 
 def test_every_slow_pin_is_pinned():
     assert SLOW <= PINS.keys()
+
+
+CHECK_PINS = Path(__file__).resolve().parent / "check_pins.py"
+# a stand-in for chordforest that starts fast and prints nothing, so every pin fails
+STAND_IN = [sys.executable, "-S", "-c", "pass"]
+
+
+def test_check_pins_reports_every_failed_pin():
+    result = subprocess.run(
+        [sys.executable, str(CHECK_PINS), *STAND_IN],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert [line.split(":")[0] for line in result.stdout.splitlines()] == [
+        f"FAIL {line}" for line in PINS
+    ]
+
+
+def test_check_pins_on_a_closed_stdout_exits_without_a_traceback():
+    with subprocess.Popen(
+        [sys.executable, str(CHECK_PINS), *STAND_IN],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as process:
+        assert process.stdout.readline().startswith("FAIL ")
+        process.stdout.close()  # as `| head -1` does
+        stderr = process.stderr.read()
+        assert process.wait(timeout=120) == 1
+    assert "Traceback" not in stderr, stderr
