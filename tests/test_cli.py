@@ -52,6 +52,23 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _entry_point_stdout(*argv):
+    """The bytes ``python -m chordforest`` writes to a real pipe, and its exit code."""
+    result = subprocess.run(
+        [sys.executable, "-m", "chordforest", *argv], capture_output=True, timeout=120
+    )
+    return result.returncode, result.stdout
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
+def _pinned(line):
+    pin = PINS[line]
+    return pin["sha256"], pin["bytes"]
+
+
 class TestCount:
     def test_forest(self, capsys):
         code, out, _ = _run(capsys, "count", "--kind", "f", "--n", "3", "--m", "2")
@@ -266,6 +283,17 @@ class TestTable:
         assert out == "kind,n,m,value\nr,1,1,1\nr,2,1,2\nr,2,2,2\n"
         assert err == "error: rooted_forest_rows(3) ends off the cell form r(3, m)\n"
 
+    # The digest is the one in tests/data/pins.json; test_pins checks it
+    # in-process, this checks the bytes the entry point writes to a pipe.
+    @pytest.mark.parametrize(
+        "argv, sha256, size",
+        [("--kind f --max-n 300", *_pinned("table --kind f --max-n 300"))],
+    )
+    def test_large_table_stdout_is_pinned(self, argv, sha256, size):
+        code, data = _entry_point_stdout("table", *argv.split())
+        assert code == EXIT_OK
+        assert _digest(data) == (sha256, size)
+
 
 class TestSeries:
     def test_g_coefficients(self, capsys):
@@ -322,6 +350,15 @@ class TestSeries:
         assert out == ""
         assert "0..600" in err
 
+    @pytest.mark.parametrize(
+        "which, sha256",
+        [("R", _pinned("series --which R --order 300")[0])],
+    )
+    def test_order_three_hundred_stdout_is_pinned(self, which, sha256):
+        code, data = _entry_point_stdout("series", "--which", which, "--order", "300")
+        assert code == EXIT_OK
+        assert hashlib.sha256(data).hexdigest() == sha256
+
 
 class TestEnumerate:
     def test_totals_for_two_chords(self, capsys):
@@ -349,6 +386,11 @@ class TestEnumerate:
         # the pairwise-crossing triple is the one non-forest
         assert not any(line.startswith("1-4,2-5,3-6 ") for line in forest_lines)
 
+    def test_seven_chord_list_stdout_is_pinned(self):
+        code, data = _entry_point_stdout("enumerate", "--n", "7", "--list")
+        assert code == EXIT_OK
+        assert _digest(data) == _pinned("enumerate --n 7 --list")
+
     def test_listing_is_written_in_bounded_chunks(self, monkeypatch):
         writes = []
         stand_in = SimpleNamespace(write=writes.append, flush=lambda: None)
@@ -358,8 +400,7 @@ class TestEnumerate:
         assert len(listing) > 1
         assert max(text.count("\n") for text in listing) <= chordforest.cli.LIST_CHUNK_LINES
         data = "".join(writes).encode()
-        pin = PINS["enumerate --n 7 --list"]
-        assert (hashlib.sha256(data).hexdigest(), len(data)) == (pin["sha256"], pin["bytes"])
+        assert _digest(data) == _pinned("enumerate --n 7 --list")
 
     def test_listing_short_of_the_scan_exits_mismatch(self, capsys, monkeypatch):
         sweep = chordforest.oracle.iter_forests
