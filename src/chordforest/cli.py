@@ -18,9 +18,11 @@ The caps on the sizes a user can type (``DIAGRAM_CAP``, ``SCAN_CAP``,
 ``SERIES_ORDER_CAP``) live here alone: the kernels take any size in their
 domain.
 
-``verify`` runs the paper's double sum for r in one forked worker, where
-``os.fork`` exists, beside its other checks; elsewhere the sum runs inline.
-Its output is the same either way.
+``verify`` splits its checks over two cores where ``os.fork`` exists: one
+forked worker runs the paper's double sum for r, whose rows it sends back
+first, then the Kreweras and type-sum checks whole, while the main process
+runs the other checks.  Elsewhere each of those jobs runs inline, at its
+check.  The output is the same either way.
 """
 
 from __future__ import annotations
@@ -219,6 +221,11 @@ def _first_mismatch(cases: Iterable[tuple], left_name: str, right_name: str) -> 
     return None
 
 
+def _check(cases: Iterable[tuple], left_name: str, right_name: str):
+    """A zero-argument callable: the first mismatch of ``cases``, or None."""
+    return functools.partial(_first_mismatch, cases, left_name, right_name)
+
+
 def _bridge_row(binomials: list[int], powers: list[tuple[int, ...]], n: int) -> Iterator:
     """C(2n, m-1) [x^n] S^m / m for m = 1, 2, ..., from the binomials
     C(2n, m-1) and the powers S^m; an inexact quotient is shown as a
@@ -312,10 +319,11 @@ def _rooted_forms(max_n: int, rooted_table, paper_rows) -> Iterator[tuple]:
     the cell form that ``count --kind r`` prints from, for n up to
     ``ROOTED_CELL_VERIFY_MAX``.
 
-    ``paper_rows()`` returns the sum's rows.  :func:`cmd_verify` starts it in
-    a worker (:func:`_forked`) before its first check, so the sum runs while
-    the bridge builds ``rooted_table()``.  The rows it returns, and each
-    row's cells, are counted before any cell is compared.
+    ``paper_rows()`` returns the sum's rows.  :func:`cmd_verify` starts the
+    sum as the first job of its worker (:func:`_forked`) before its first
+    check, so the sum runs while the bridge builds ``rooted_table()``, and
+    the worker sends the rows before its later jobs.  The rows it returns,
+    and each row's cells, are counted before any cell is compared.
     """
     rows = paper_rows()
     yield "rows of r(n, m)", max_n, len(rows)
@@ -356,73 +364,77 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _forked(function, *args):
-    """Start ``function(*args)`` in one forked worker and return a
-    zero-argument callable that reads the worker's result, reaps it and
-    returns the value.
+def _forked(*jobs):
+    """Start the zero-argument ``jobs``, in order, in one forked worker, and
+    return one zero-argument reader per job, which returns that job's value,
+    and a ``reap()``.
 
-    The worker sends ``(True, value)`` or ``(False, message)`` by ``marshal``
-    through a pipe and leaves only by ``os._exit``, so it never returns into
-    the caller or flushes its stdout.  A failure in the worker, or a worker
-    that exits without a result, raises ``ConsistencyError``.  The
-    callable's ``reap()`` kills and reaps a worker whose result was never
-    read; call it on every path.  The CLI starts no thread, so forking it is
-    safe.  Without ``os.fork`` (Windows) the callable runs ``function(*args)``
-    inline.
+    The worker sends each job's ``(True, value)`` or ``(False, message)`` by
+    ``marshal`` through a pipe, flushed as soon as the job ends, so an early
+    job's value can be read while later ones run.  It leaves only by
+    ``os._exit``, so it never returns into the caller or flushes its stdout.
+    A failure in a job raises ``ConsistencyError`` in its reader.  If the
+    worker exits before it reports every job, the first job it never reported
+    raises ``ConsistencyError``, and each later one runs inline when its
+    reader is called: running the first inline too could end the caller as it
+    ended the worker.  ``reap()`` closes the pipe and kills and reaps a worker
+    that is still running; call it on every path.  The CLI starts no thread,
+    so forking it is safe.  Without ``os.fork`` (Windows) each reader is its
+    job, run inline.
     """
     if not hasattr(os, "fork"):
-
-        def inline():
-            return function(*args)
-
-        inline.reap = lambda: None
-        return inline
+        return jobs, lambda: None
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            try:
-                payload = (True, function(*args))
-            except Exception as exc:
-                payload = (False, _failure(exc))
             with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(payload))
+                for job in jobs:
+                    try:
+                        payload = (True, job())
+                    except Exception as exc:
+                        payload = (False, _failure(exc))
+                    marshal.dump(payload, pipe)
+                    pipe.flush()
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
     pipe = open(read_end, "rb")
+    reported: list = []  # each job's payload, in order, None once it is read
+    status = None  # the worker's exit status, once it has been reaped
 
-    def result():
-        nonlocal pid
-        with pipe:
-            payload = pipe.read()
-        _, wait_status = os.waitpid(pid, 0)
-        pid = 0
-        status = os.waitstatus_to_exitcode(wait_status)
-        if not status:
+    def read(index):
+        nonlocal pid, status
+        while len(reported) <= index and pid:
             try:
-                succeeded, value = marshal.loads(payload)
-            except (EOFError, TypeError, ValueError):  # empty or unreadable
-                pass
-            else:
-                if succeeded:
-                    return value
-                raise ConsistencyError(value)
-        raise ConsistencyError(f"paper-sum worker exited with status {status} and no result")
+                reported.append(marshal.load(pipe))
+            except (EOFError, ValueError):  # ended, or cut off mid-payload
+                pipe.close()
+                _, wait_status = os.waitpid(pid, 0)
+                pid = 0
+                status = os.waitstatus_to_exitcode(wait_status)
+        if index < len(reported):
+            succeeded, value = reported[index]
+            reported[index] = None  # freed with the caller's last reference
+            if succeeded:
+                return value
+            raise ConsistencyError(value)
+        if index == len(reported):
+            raise ConsistencyError(f"verify worker exited with status {status} and no result")
+        return jobs[index]()
 
     def reap():
         pipe.close()
         if pid:
-            import signal  # only a worker whose result was never read
+            import signal  # only a worker that is still running
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    result.reap = reap
-    return result
+    return [functools.partial(read, index) for index in range(len(jobs))], reap
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -440,55 +452,49 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def rooted_table() -> list[list[int]]:
         return list(formulas.rooted_forest_rows(args.max_n_formula))
 
-    # The paper sum needs nothing from the other checks but max_n, so it runs
-    # on another core while the bridge walks its rows; no worker outlives
-    # this call.
-    paper_rows = _forked(formulas.rooted_forest_paper_rows, args.max_n_formula)
+    # The worker's jobs need nothing from main's checks but their bounds.  It
+    # sends the paper sum's rows first, which the second check reads while
+    # main is still on its own checks, then runs the Kreweras and type-sum
+    # checks whole, so both cores finish at about the same time.  No worker
+    # outlives this call.
+    (paper_rows, kreweras, type_sum), reap = _forked(
+        functools.partial(formulas.rooted_forest_paper_rows, args.max_n_formula),
+        _check(_kreweras(KREWERAS_VERIFY_MAX), "formula", "bruteforce"),
+        _check(_type_sum(TYPE_SUM_VERIFY_MAX), "formula", "type-sum"),
+    )
     try:
-        # (check, its cases, their left and right names); each generator runs
-        # only when its check's turn comes.
+        # (check, a callable that returns its first mismatch or None); each
+        # check's cases run only when its turn comes.
         suites = (
             (
                 f"formula-vs-series (n<={args.max_n_formula})",
-                _series_vs_formula(args.max_n_formula, rooted_table),
-                "formula",
-                "series",
+                _check(
+                    _series_vs_formula(args.max_n_formula, rooted_table), "formula", "series"
+                ),
             ),
             (
                 f"rooted-paper-sum-vs-lagrange-burmann (n<={args.max_n_formula})",
-                _rooted_forms(args.max_n_formula, rooted_table, paper_rows),
-                "lagrange-burmann",
-                "paper-sum",
+                _check(
+                    _rooted_forms(args.max_n_formula, rooted_table, paper_rows),
+                    "lagrange-burmann",
+                    "paper-sum",
+                ),
             ),
             (
                 f"formula-vs-bruteforce (n<={args.max_n_brute})",
-                _formula_vs_bruteforce(args.max_n_brute),
-                "formula",
-                "bruteforce",
+                _check(_formula_vs_bruteforce(args.max_n_brute), "formula", "bruteforce"),
             ),
-            (
-                f"kreweras-vs-enumeration (N<={KREWERAS_VERIFY_MAX})",
-                _kreweras(KREWERAS_VERIFY_MAX),
-                "formula",
-                "bruteforce",
-            ),
-            (
-                f"type-sum-vs-closed-form (n<={TYPE_SUM_VERIFY_MAX})",
-                _type_sum(TYPE_SUM_VERIFY_MAX),
-                "formula",
-                "type-sum",
-            ),
+            (f"kreweras-vs-enumeration (N<={KREWERAS_VERIFY_MAX})", kreweras),
+            (f"type-sum-vs-closed-form (n<={TYPE_SUM_VERIFY_MAX})", type_sum),
             (
                 f"series-identities (order {IDENTITY_ORDER})",
-                _series_identities(IDENTITY_ORDER),
-                "R",
-                "xT'",
+                _check(_series_identities(IDENTITY_ORDER), "R", "xT'"),
             ),
         )
         failures = 0
-        for name, cases, left_name, right_name in suites:
+        for name, verdict in suites:
             try:
-                mismatch = _first_mismatch(cases, left_name, right_name)
+                mismatch = verdict()
             except Exception as exc:  # a check that raises fails; the rest run on
                 mismatch = _failure(exc)
             if mismatch is None:
@@ -503,7 +509,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"all {len(suites)} checks passed")
         return EXIT_OK
     finally:
-        paper_rows.reap()
+        reap()
 
 
 # -- render ------------------------------------------------------------------

@@ -684,27 +684,41 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="without os.fork the sum runs inline")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="without os.fork the jobs run inline")
 class TestVerifyWorker:
-    """verify's paper sum in its forked worker: the stdout of the inline
-    sum, on every path a FAIL line and never a hang, and no worker left."""
+    """verify's forked worker, which runs the paper sum and then the Kreweras
+    and type-sum checks: the stdout of the inline jobs, on every path a FAIL
+    line and never a hang, and no worker left."""
 
     SMALL = ("verify", "--max-n-formula", "8", "--max-n-brute", "3")
 
     def test_inline_sum_prints_the_same_bytes(self, capsys, monkeypatch):
-        genuine = chordforest.formulas.rooted_forest_paper_rows
         calls = []
 
-        def recorded(max_n):
-            calls.append(max_n)
-            return genuine(max_n)
+        def record(module, name):
+            genuine = getattr(module, name)
 
-        monkeypatch.setattr(chordforest.formulas, "rooted_forest_paper_rows", recorded)
+            def recorded(*args):
+                calls.append((name, *args))
+                return genuine(*args)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        record(chordforest.formulas, "rooted_forest_paper_rows")
+        record(chordforest.oracle, "noncrossing_partition_tallies")
+        record(chordforest.oracle, "enumerate_types")
         forked = _run(capsys, *self.SMALL)
-        assert calls == []  # made in the worker
+        assert calls == []  # all made in the worker
         monkeypatch.delattr(os, "fork")
         assert _run(capsys, *self.SMALL) == forked
-        assert calls == [8]
+        # each job inline at its check: the sum, the partitions of [9], then
+        # the types of every (n, m) with m <= n <= 12
+        types = [("enumerate_types", n, m) for n in range(1, 13) for m in range(1, n + 1)]
+        assert calls == [
+            ("rooted_forest_paper_rows", 8),
+            ("noncrossing_partition_tallies", 9),
+            *types,
+        ]
         code, out, _ = _run(capsys, "verify")
         assert code == EXIT_OK
         data = out.encode()
@@ -757,9 +771,53 @@ class TestVerifyWorker:
         assert code == EXIT_MISMATCH
         assert out.splitlines()[1:3] == [
             "check rooted-paper-sum-vs-lagrange-burmann (n<=8): FAIL",
-            "  first counterexample: paper-sum worker exited with status 3 and no result",
+            "  first counterexample: verify worker exited with status 3 and no result",
         ]
         assert out.splitlines()[-1] == "1 of 6 checks failed"
+        _no_child_left()
+
+    def test_worker_dying_in_a_later_job_fails_only_that_check(self, capsys, monkeypatch):
+        # The rows are sent before the worker dies in the Kreweras check, and
+        # the type-sum check, which it never reached, runs inline in main.
+        monkeypatch.setattr(
+            chordforest.oracle, "noncrossing_partition_tallies", lambda max_n: os._exit(3)
+        )
+        code, out, _ = _run(capsys, *self.SMALL)
+        assert code == EXIT_MISMATCH
+        assert out.splitlines()[3:7] == [
+            "check kreweras-vs-enumeration (N<=9): FAIL",
+            "  first counterexample: verify worker exited with status 3 and no result",
+            "check type-sum-vs-closed-form (n<=12): PASS",
+            "check series-identities (order 40): PASS",
+        ]
+        assert out.splitlines()[-1] == "1 of 6 checks failed"
+        _no_child_left()
+
+    def test_rows_are_sent_before_the_later_jobs_end(self, monkeypatch):
+        # The Kreweras job would take a minute, and stdout closes at the third
+        # check line: the paper-sum check must have read its rows by then, and
+        # the worker, still in the Kreweras job, must be killed.
+        monkeypatch.setattr(
+            chordforest.oracle, "noncrossing_partition_tallies", lambda max_n: time.sleep(60)
+        )
+        written = []
+
+        class ClosingStdout:
+            def write(self, text):
+                if text.startswith("check ") and "".join(written).count("\n") == 2:
+                    raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+                written.append(text)
+
+        monkeypatch.setattr(sys, "stdout", ClosingStdout())
+        args = chordforest.cli.build_parser().parse_args(self.SMALL)
+        start = time.perf_counter()
+        with pytest.raises(BrokenPipeError):
+            chordforest.cli.cmd_verify(args)
+        assert time.perf_counter() - start < 30
+        assert "".join(written).splitlines() == [
+            "check formula-vs-series (n<=8): PASS",
+            "check rooted-paper-sum-vs-lagrange-burmann (n<=8): PASS",
+        ]
         _no_child_left()
 
 

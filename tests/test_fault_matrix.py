@@ -12,8 +12,9 @@ for those that only other series functions call, and ``formulas``' and
 module itself both look up there.  The row then runs
 ``verify --max-n-brute 3`` and names every check that must fail, with its
 first counterexample; every other check must pass.  A fault in
-``rooted_forest_paper_rows`` runs in ``verify``'s forked worker, which
-inherits the planted attribute and sends its message back.  Most rows run
+``rooted_forest_paper_rows``, or in a function that the Kreweras or type-sum
+check calls, runs in ``verify``'s forked worker, which inherits the planted
+attribute and sends its message or the check's verdict back.  Most rows run
 at ``--max-n-formula 8``; a row that names a larger bound plants a fault
 that only that bound reaches, such as one in the last row a check reads.  This
 is mutation analysis (DeMillo, Lipton and Sayward, "Hints on Test Data
