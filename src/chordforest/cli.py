@@ -21,8 +21,9 @@ domain.
 ``verify`` splits its checks over two cores where ``os.fork`` exists: one
 forked worker runs the paper's double sum for r, whose rows it sends back
 first, then the Kreweras and type-sum checks whole, while the main process
-runs the other checks.  Elsewhere each of those jobs runs inline, at its
-check.  The output is the same either way.
+runs the other checks.  Each payload crosses the pipe as a length-prefixed
+``marshal`` frame, decoded in one call.  Elsewhere each of those jobs runs
+inline, at its check.  The output is the same either way.
 """
 
 from __future__ import annotations
@@ -369,18 +370,23 @@ def _forked(*jobs):
     return one zero-argument reader per job, which returns that job's value,
     and a ``reap()``.
 
-    The worker sends each job's ``(True, value)`` or ``(False, message)`` by
-    ``marshal`` through a pipe, flushed as soon as the job ends, so an early
-    job's value can be read while later ones run.  It leaves only by
-    ``os._exit``, so it never returns into the caller or flushes its stdout.
-    A failure in a job raises ``ConsistencyError`` in its reader.  If the
-    worker exits before it reports every job, the first job it never reported
-    raises ``ConsistencyError``, and each later one runs inline when its
-    reader is called: running the first inline too could end the caller as it
-    ended the worker.  ``reap()`` closes the pipe and kills and reaps a worker
-    that is still running; call it on every path.  The CLI starts no thread,
-    so forking it is safe.  Without ``os.fork`` (Windows) each reader is its
-    job, run inline.
+    The worker sends each job's ``(True, value)`` or ``(False, message)``
+    through a pipe as one frame, flushed as soon as the job ends, so an early
+    job's value can be read while later ones run.  A frame is the
+    ``marshal.dumps`` bytes after their length, 8 bytes little-endian; the
+    reader reads the frame whole and decodes it with one ``marshal.loads``,
+    where ``marshal.load`` on the pipe would make a read call per field.  The
+    worker leaves only by ``os._exit``, so it never returns into the caller
+    or flushes its stdout.  A failure in a job, or a value ``marshal`` cannot
+    encode, raises ``ConsistencyError`` in its reader.  If the worker exits
+    before it reports every job, or mid-frame, the first job it never
+    reported raises ``ConsistencyError``, and each later one runs inline when
+    its reader is called: running the first inline too could end the caller
+    as it ended the worker.  ``reap()`` closes the pipe and reaps the worker;
+    call it on every path.  Once every job's frame has been read the worker
+    is exiting by itself, so ``reap()`` waits for it; while a job is unread
+    it kills the worker first.  The CLI starts no thread, so forking it is
+    safe.  Without ``os.fork`` (Windows) each reader is its job, run inline.
     """
     if not hasattr(os, "fork"):
         return jobs, lambda: None
@@ -392,11 +398,11 @@ def _forked(*jobs):
             os.close(read_end)
             with open(write_end, "wb") as pipe:
                 for job in jobs:
-                    try:
-                        payload = (True, job())
+                    try:  # a value marshal cannot encode fails its own job
+                        data = marshal.dumps((True, job()))
                     except Exception as exc:
-                        payload = (False, _failure(exc))
-                    marshal.dump(payload, pipe)
+                        data = marshal.dumps((False, _failure(exc)))
+                    pipe.write(len(data).to_bytes(8, "little") + data)
                     pipe.flush()
             status = 0
         finally:
@@ -409,9 +415,11 @@ def _forked(*jobs):
     def read(index):
         nonlocal pid, status
         while len(reported) <= index and pid:
-            try:
-                reported.append(marshal.load(pipe))
-            except (EOFError, ValueError):  # ended, or cut off mid-payload
+            header = pipe.read(8)
+            size = int.from_bytes(header, "little")
+            if len(header) == 8 and len(data := pipe.read(size)) == size:
+                reported.append(marshal.loads(data))
+            else:  # ended, or cut off mid-frame
                 pipe.close()
                 _, wait_status = os.waitpid(pid, 0)
                 pid = 0
@@ -429,9 +437,10 @@ def _forked(*jobs):
     def reap():
         pipe.close()
         if pid:
-            import signal  # only a worker that is still running
+            if len(reported) < len(jobs):  # the worker may still be in a job
+                import signal
 
-            os.kill(pid, signal.SIGKILL)
+                os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
     return [functools.partial(read, index) for index in range(len(jobs))], reap

@@ -9,6 +9,7 @@ import errno
 import hashlib
 import itertools
 import json
+import marshal
 import math
 import os
 import subprocess
@@ -818,6 +819,90 @@ class TestVerifyWorker:
             "check formula-vs-series (n<=8): PASS",
             "check rooted-paper-sum-vs-lagrange-burmann (n<=8): PASS",
         ]
+        _no_child_left()
+
+    def test_a_payload_larger_than_the_pipe_arrives_whole(self):
+        # 1 MiB is more than a pipe buffer holds, so the worker's write blocks
+        # until main reads the frame.
+        large = "0123456789abcdef" * 65536
+        readers, reap = chordforest.cli._forked(lambda: large, lambda: 42)
+        try:
+            assert [read() for read in readers] == [large, 42]
+        finally:
+            reap()
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "written",
+        [b"\xff" * 7, (100).to_bytes(8, "little") + b"\xa9\x02"],
+        ids=["short-header", "short-body"],
+    )
+    def test_a_frame_cut_short_is_a_fail_line(self, capsys, monkeypatch, written):
+        # The worker writes part of a frame to its end of the pipe and exits.
+        # Seven bytes are no length: read as one, they would ask for 2**56 - 1.
+        pipes = []
+        genuine_pipe = os.pipe
+
+        def recorded_pipe():
+            pipes.append(genuine_pipe())
+            return pipes[-1]
+
+        def cut_short(max_n):
+            os.write(pipes[-1][1], written)
+            os._exit(3)
+
+        monkeypatch.setattr(os, "pipe", recorded_pipe)
+        monkeypatch.setattr(chordforest.formulas, "rooted_forest_paper_rows", cut_short)
+        start = time.perf_counter()
+        code, out, _ = _run(capsys, *self.SMALL)
+        assert time.perf_counter() - start < 30
+        assert code == EXIT_MISMATCH
+        assert out.splitlines()[1:3] == [
+            "check rooted-paper-sum-vs-lagrange-burmann (n<=8): FAIL",
+            "  first counterexample: verify worker exited with status 3 and no result",
+        ]
+        assert out.splitlines()[-1] == "1 of 6 checks failed"
+        _no_child_left()
+
+    def test_a_value_marshal_cannot_encode_fails_only_its_check(self, capsys, monkeypatch):
+        with pytest.raises(ValueError) as unencodable:
+            marshal.dumps(object())
+        inline = []
+        genuine = chordforest.oracle.noncrossing_partition_tallies
+
+        def recorded(max_n):
+            inline.append(max_n)
+            return genuine(max_n)
+
+        monkeypatch.setattr(
+            chordforest.formulas, "rooted_forest_paper_rows", lambda max_n: [[object()]]
+        )
+        monkeypatch.setattr(chordforest.oracle, "noncrossing_partition_tallies", recorded)
+        code, out, _ = _run(capsys, *self.SMALL)
+        assert code == EXIT_MISMATCH
+        assert out.splitlines()[1:3] == [
+            "check rooted-paper-sum-vs-lagrange-burmann (n<=8): FAIL",
+            f"  first counterexample: ValueError: {unencodable.value}",
+        ]
+        assert out.splitlines()[-1] == "1 of 6 checks failed"
+        assert inline == []  # the worker ran on into the Kreweras job
+        _no_child_left()
+
+    def test_payloads_are_decoded_from_frames(self, capsys, monkeypatch):
+        # marshal.load reads a pipe one small field at a time; a payload is
+        # read whole and decoded by one marshal.loads.
+        def unused(file):
+            raise AssertionError("marshal.load called")
+
+        monkeypatch.setattr(marshal, "load", unused)
+        assert _run(capsys, *self.SMALL)[0] == EXIT_OK
+        _no_child_left()
+
+    def test_a_worker_that_sent_every_payload_is_not_killed(self, capsys, monkeypatch):
+        kills = []
+        monkeypatch.setattr(os, "kill", lambda *args: kills.append(args))
+        assert _run(capsys, *self.SMALL)[0] == EXIT_OK
+        assert kills == []
         _no_child_left()
 
 
