@@ -18,17 +18,19 @@ The caps on the sizes a user can type (``DIAGRAM_CAP``, ``SCAN_CAP``,
 ``SERIES_ORDER_CAP``) live here alone: the kernels take any size in their
 domain.
 
-``verify`` splits its checks over two cores where ``os.fork`` exists: one
-forked worker runs the paper's double sum for r, whose rows it sends back
-first, then the Kreweras and type-sum checks whole, while the main process
-runs the other checks.  Each payload crosses the pipe as a length-prefixed
-``marshal`` frame, decoded in one call.  Elsewhere each of those jobs runs
-inline, at its check.  The output is the same either way.
+``verify`` splits its checks over two cores where ``os.fork`` exists: in
+one ``with`` block, a forked worker runs the paper's double sum for r, whose
+rows it sends back first, then the Kreweras and type-sum checks whole, while
+the main process runs the other checks and receives the worker's values in
+job order.  Each payload crosses the pipe as a length-prefixed ``marshal``
+frame, decoded in one call.  Elsewhere each of those jobs runs inline, at the
+check that receives it.  The output is the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import marshal
 import math
@@ -320,11 +322,12 @@ def _rooted_forms(max_n: int, rooted_table, paper_rows) -> Iterator[tuple]:
     the cell form that ``count --kind r`` prints from, for n up to
     ``ROOTED_CELL_VERIFY_MAX``.
 
-    ``paper_rows()`` returns the sum's rows.  :func:`cmd_verify` starts the
-    sum as the first job of its worker (:func:`_forked`) before its first
-    check, so the sum runs while the bridge builds ``rooted_table()``, and
-    the worker sends the rows before its later jobs.  The rows it returns,
-    and each row's cells, are counted before any cell is compared.
+    ``paper_rows()`` returns the sum's rows.  :func:`cmd_verify` passes the
+    ``receive()`` of its worker (:func:`_forked`), whose first job is the
+    sum, started before the first check, so the sum runs while the bridge
+    builds ``rooted_table()``, and the worker sends the rows before its later
+    jobs.  The rows it returns, and each row's cells, are counted before any
+    cell is compared.
     """
     rows = paper_rows()
     yield "rows of r(n, m)", max_n, len(rows)
@@ -365,85 +368,80 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+@contextlib.contextmanager
 def _forked(*jobs):
     """Start the zero-argument ``jobs``, in order, in one forked worker, and
-    return one zero-argument reader per job, which returns that job's value,
-    and a ``reap()``.
+    yield ``receive()``, which returns the next job's value, in job order.
 
     The worker sends each job's ``(True, value)`` or ``(False, message)``
     through a pipe as one frame, flushed as soon as the job ends, so an early
-    job's value can be read while later ones run.  A frame is the
-    ``marshal.dumps`` bytes after their length, 8 bytes little-endian; the
-    reader reads the frame whole and decodes it with one ``marshal.loads``,
-    where ``marshal.load`` on the pipe would make a read call per field.  The
-    worker leaves only by ``os._exit``, so it never returns into the caller
-    or flushes its stdout.  A failure in a job, or a value ``marshal`` cannot
-    encode, raises ``ConsistencyError`` in its reader.  If the worker exits
-    before it reports every job, or mid-frame, the first job it never
-    reported raises ``ConsistencyError``, and each later one runs inline when
-    its reader is called: running the first inline too could end the caller
-    as it ended the worker.  ``reap()`` closes the pipe and reaps the worker;
-    call it on every path.  Once every job's frame has been read the worker
-    is exiting by itself, so ``reap()`` waits for it; while a job is unread
-    it kills the worker first.  The CLI starts no thread, so forking it is
-    safe.  Without ``os.fork`` (Windows) each reader is its job, run inline.
+    job's value can be received while later ones run.  A frame is the
+    ``marshal.dumps`` bytes after their length, 8 bytes little-endian;
+    ``receive()`` reads the frame whole and decodes it with one
+    ``marshal.loads``, where ``marshal.load`` on the pipe would make a read
+    call per field.  The worker leaves only by ``os._exit``, so it never
+    returns into the caller or flushes its stdout.  A failure in a job, or a
+    value ``marshal`` cannot encode, raises ``ConsistencyError`` from its
+    ``receive()``.  If the worker exits before it reports every job, or
+    mid-frame, it is reaped, and the first job it never reported raises
+    ``ConsistencyError``: running it inline could end the caller as it ended
+    the worker.  With no worker, because it is reaped or because there is no
+    ``os.fork`` (Windows), ``receive()`` runs the next job inline.  Leaving
+    the block reaps the worker: once every job is received it is exiting by
+    itself and is waited for, and while a job is unreceived it is killed
+    first.  The CLI starts no thread, so forking it is safe.
     """
-    if not hasattr(os, "fork"):
-        return jobs, lambda: None
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                for job in jobs:
-                    try:  # a value marshal cannot encode fails its own job
-                        data = marshal.dumps((True, job()))
-                    except Exception as exc:
-                        data = marshal.dumps((False, _failure(exc)))
-                    pipe.write(len(data).to_bytes(8, "little") + data)
-                    pipe.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    pipe = open(read_end, "rb")
-    reported: list = []  # each job's payload, in order, None once it is read
-    status = None  # the worker's exit status, once it has been reaped
+    unreceived = list(jobs)
+    pid = 0  # the worker's, while it runs
+    if hasattr(os, "fork"):
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                with open(write_end, "wb") as pipe:
+                    for job in jobs:
+                        try:  # a value marshal cannot encode fails its own job
+                            data = marshal.dumps((True, job()))
+                        except Exception as exc:
+                            data = marshal.dumps((False, _failure(exc)))
+                        pipe.write(len(data).to_bytes(8, "little") + data)
+                        pipe.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        pipe = open(read_end, "rb")
 
-    def read(index):
-        nonlocal pid, status
-        while len(reported) <= index and pid:
-            header = pipe.read(8)
-            size = int.from_bytes(header, "little")
-            if len(header) == 8 and len(data := pipe.read(size)) == size:
-                reported.append(marshal.loads(data))
-            else:  # ended, or cut off mid-frame
-                pipe.close()
-                _, wait_status = os.waitpid(pid, 0)
-                pid = 0
-                status = os.waitstatus_to_exitcode(wait_status)
-        if index < len(reported):
-            succeeded, value = reported[index]
-            reported[index] = None  # freed with the caller's last reference
+    def receive():
+        nonlocal pid
+        if not pid:
+            return unreceived.pop(0)()
+        header = pipe.read(8)
+        size = int.from_bytes(header, "little")
+        if len(header) == 8 and len(data := pipe.read(size)) == size:
+            del unreceived[0]  # only now, so that a read cut short still kills
+            succeeded, value = marshal.loads(data)
             if succeeded:
                 return value
             raise ConsistencyError(value)
-        if index == len(reported):
-            raise ConsistencyError(f"verify worker exited with status {status} and no result")
-        return jobs[index]()
+        pipe.close()  # the worker ended, or was cut off mid-frame
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = 0
+        del unreceived[0]
+        raise ConsistencyError(f"verify worker exited with status {status} and no result")
 
-    def reap():
-        pipe.close()
+    try:
+        yield receive
+    finally:
         if pid:
-            if len(reported) < len(jobs):  # the worker may still be in a job
+            pipe.close()
+            if unreceived:  # the worker may still be in a job
                 import signal
 
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-    return [functools.partial(read, index) for index in range(len(jobs))], reap
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -462,16 +460,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return list(formulas.rooted_forest_rows(args.max_n_formula))
 
     # The worker's jobs need nothing from main's checks but their bounds.  It
-    # sends the paper sum's rows first, which the second check reads while
+    # sends the paper sum's rows first, which the second check receives while
     # main is still on its own checks, then runs the Kreweras and type-sum
-    # checks whole, so both cores finish at about the same time.  No worker
-    # outlives this call.
-    (paper_rows, kreweras, type_sum), reap = _forked(
+    # checks whole, so both cores finish at about the same time.  The checks
+    # receive the three jobs' values in job order, and no worker outlives the
+    # block.
+    with _forked(
         functools.partial(formulas.rooted_forest_paper_rows, args.max_n_formula),
         _check(_kreweras(KREWERAS_VERIFY_MAX), "formula", "bruteforce"),
         _check(_type_sum(TYPE_SUM_VERIFY_MAX), "formula", "type-sum"),
-    )
-    try:
+    ) as receive:
         # (check, a callable that returns its first mismatch or None); each
         # check's cases run only when its turn comes.
         suites = (
@@ -484,7 +482,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             (
                 f"rooted-paper-sum-vs-lagrange-burmann (n<={args.max_n_formula})",
                 _check(
-                    _rooted_forms(args.max_n_formula, rooted_table, paper_rows),
+                    _rooted_forms(args.max_n_formula, rooted_table, receive),
                     "lagrange-burmann",
                     "paper-sum",
                 ),
@@ -493,8 +491,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"formula-vs-bruteforce (n<={args.max_n_brute})",
                 _check(_formula_vs_bruteforce(args.max_n_brute), "formula", "bruteforce"),
             ),
-            (f"kreweras-vs-enumeration (N<={KREWERAS_VERIFY_MAX})", kreweras),
-            (f"type-sum-vs-closed-form (n<={TYPE_SUM_VERIFY_MAX})", type_sum),
+            (f"kreweras-vs-enumeration (N<={KREWERAS_VERIFY_MAX})", receive),
+            (f"type-sum-vs-closed-form (n<={TYPE_SUM_VERIFY_MAX})", receive),
             (
                 f"series-identities (order {IDENTITY_ORDER})",
                 _check(_series_identities(IDENTITY_ORDER), "R", "xT'"),
@@ -512,13 +510,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 failures += 1
                 print(f"check {name}: FAIL")
                 print(f"  first counterexample: {mismatch}")
-        if failures:
-            print(f"{failures} of {len(suites)} checks failed")
-            return EXIT_MISMATCH
-        print(f"all {len(suites)} checks passed")
-        return EXIT_OK
-    finally:
-        reap()
+    if failures:
+        print(f"{failures} of {len(suites)} checks failed")
+        return EXIT_MISMATCH
+    print(f"all {len(suites)} checks passed")
+    return EXIT_OK
 
 
 # -- render ------------------------------------------------------------------
@@ -672,7 +668,12 @@ def main(argv: list[str] | None = None) -> int:
         # stdout's reader has gone; as in the Python docs' SIGPIPE note, point
         # stdout at devnull so that the interpreter's last flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        try:
+            print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        except OSError:
+            # stderr is the same closed pipe, as under 2>&1 | head: the line
+            # stays in stderr's buffer, so stderr goes to devnull as well.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

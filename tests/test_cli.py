@@ -12,6 +12,7 @@ import json
 import marshal
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -679,6 +680,37 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "cap" in err
 
+    def test_smallest_bounds_print_six_check_lines(self, capsys):
+        code, out, _ = _run(capsys, "verify", "--max-n-formula", "1", "--max-n-brute", "1")
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "check formula-vs-series (n<=1): PASS",
+            "check rooted-paper-sum-vs-lagrange-burmann (n<=1): PASS",
+            "check formula-vs-bruteforce (n<=1): PASS",
+            "check kreweras-vs-enumeration (N<=9): PASS",
+            "check type-sum-vs-closed-form (n<=12): PASS",
+            "check series-identities (order 40): PASS",
+            "all 6 checks passed",
+        ]
+
+    def test_brute_bound_at_cap_reaches_the_scan(self, capsys, monkeypatch):
+        # A stub stands in for the scan to n = 12, which is too slow here: 12
+        # passes the usage check, so the stub's empty list is a FAIL line.
+        monkeypatch.setattr(chordforest.oracle, "brute_force_tables", lambda max_n: [])
+        code, out, _ = _run(capsys, "verify", "--max-n-formula", "4", "--max-n-brute", "12")
+        assert code == EXIT_MISMATCH
+        assert out.splitlines()[2:4] == [
+            "check formula-vs-bruteforce (n<=12): FAIL",
+            "  first counterexample: scan tables (n<=12) formula=12 bruteforce=0",
+        ]
+        code, out, _ = _run(capsys, "verify", "--max-n-formula", "4", "--max-n-brute", "13")
+        assert (code, out) == (EXIT_USAGE, "")
+
+    def test_series_identities_compare_order_plus_one_coefficients(self):
+        cases = list(chordforest.cli._series_identities(40))
+        assert len(cases) == 41
+        assert [case for case, _, _ in cases] == [f"[x^{n}]" for n in range(41)]
+
 
 def _no_child_left():
     with pytest.raises(ChildProcessError):
@@ -725,6 +757,37 @@ class TestVerifyWorker:
         data = out.encode()
         pin = PINS["verify"]
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (pin["sha256"], pin["bytes"])
+
+    def test_each_worker_job_fails_its_own_check(self, capsys, monkeypatch):
+        # A distinct fault in each of the worker's three jobs: each check
+        # receives its own job's message, in job order, forked or inline.
+        def plant(module, name):
+            def planted(*args):
+                raise ConsistencyError(f"planted in {name}")
+
+            monkeypatch.setattr(module, name, planted)
+
+        plant(chordforest.formulas, "rooted_forest_paper_rows")
+        plant(chordforest.oracle, "noncrossing_partition_tallies")
+        plant(chordforest.oracle, "enumerate_types")
+        forked = _run(capsys, *self.SMALL)
+        _no_child_left()
+        assert forked[0] == EXIT_MISMATCH
+        assert forked[1].splitlines() == [
+            "check formula-vs-series (n<=8): PASS",
+            "check rooted-paper-sum-vs-lagrange-burmann (n<=8): FAIL",
+            "  first counterexample: planted in rooted_forest_paper_rows",
+            "check formula-vs-bruteforce (n<=3): PASS",
+            "check kreweras-vs-enumeration (N<=9): FAIL",
+            "  first counterexample: planted in noncrossing_partition_tallies",
+            "check type-sum-vs-closed-form (n<=12): FAIL",
+            "  first counterexample: planted in enumerate_types",
+            "check series-identities (order 40): PASS",
+            "3 of 6 checks failed",
+        ]
+        monkeypatch.delattr(os, "fork")
+        assert _run(capsys, *self.SMALL) == forked
+        _no_child_left()
 
     def test_no_worker_outlives_a_pass(self, capsys):
         assert _run(capsys, *self.SMALL)[0] == EXIT_OK
@@ -825,11 +888,28 @@ class TestVerifyWorker:
         # 1 MiB is more than a pipe buffer holds, so the worker's write blocks
         # until main reads the frame.
         large = "0123456789abcdef" * 65536
-        readers, reap = chordforest.cli._forked(lambda: large, lambda: 42)
+        with chordforest.cli._forked(lambda: large, lambda: 42) as receive:
+            assert [receive(), receive()] == [large, 42]
+        _no_child_left()
+
+    def test_a_receive_cut_short_leaves_its_job_unreceived(self):
+        # An exception in the middle of a read, as from Ctrl-C, leaves the job
+        # unreceived, so leaving the block kills the worker still in it
+        # rather than waiting a minute for it.
+        def interrupt(signum, frame):
+            raise TimeoutError("interrupted")
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.perf_counter()
         try:
-            assert [read() for read in readers] == [large, 42]
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(TimeoutError):
+                with chordforest.cli._forked(lambda: time.sleep(60)) as receive:
+                    receive()
         finally:
-            reap()
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 30
         _no_child_left()
 
     @pytest.mark.parametrize(
@@ -1045,10 +1125,13 @@ def test_module_entry_point_runs_in_subprocess():
     assert result.stdout == "6\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["table", "--kind", "t", "--max-n", "3000"], ["enumerate", "--n", "7", "--list"]],
-)
+CLOSED_STDOUT_ARGVS = [
+    ["table", "--kind", "t", "--max-n", "3000"],
+    ["enumerate", "--n", "7", "--list"],
+]
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_ARGVS)
 def test_closed_stdout_exits_io_error_without_traceback(argv):
     with subprocess.Popen(
         [sys.executable, "-m", "chordforest", *argv],
@@ -1062,3 +1145,24 @@ def test_closed_stdout_exits_io_error_without_traceback(argv):
     assert code == EXIT_IO
     assert err == f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n"
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_ARGVS)
+def test_closed_stdout_and_stderr_exit_io_error(argv, unbuffered):
+    # As under `2>&1 | head -c 20`: the error line meets the same closed pipe.
+    # Buffered stderr keeps the unwritten line for the interpreter's last
+    # flush, which must not fail either, so both stdio modes are run.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-m", "chordforest", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=env,
+    ) as process:
+        assert process.stdout.read(20)
+        process.stdout.close()
+        code = process.wait(timeout=120)
+    assert code == EXIT_IO
