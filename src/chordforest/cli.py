@@ -11,8 +11,12 @@ as ``error: <message>`` on stderr) or internal error (any other exception,
 printed as ``error: internal error: <Type>: <message>``, after its traceback
 only under ``python -X dev``), 2 usage or domain error, 3 output I/O error
 (an unwritable ``render --out`` file, or a stdout closed by its reader, as by
-``| head``).  All values are printed as exact decimals, at any number of
-digits.
+``| head``).  Each of 0, 1, 2 and 3 holds when stderr is a closed pipe too,
+as under ``2>&1 | head``, or a closed descriptor (``2>&-``); the message is
+then dropped.  The CLI writes each of its own ``error:`` lines through
+:func:`_complain`, and every exit, argparse's included, passes
+:func:`main`'s last flush of stderr.
+All values are printed as exact decimals, at any number of digits.
 
 The caps on the sizes a user can type (``DIAGRAM_CAP``, ``SCAN_CAP``,
 ``SERIES_ORDER_CAP``) live here alone: the kernels take any size in their
@@ -579,8 +583,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         _write_atomically(args.out, svg)
     except OSError as exc:
         # strerror, not str(exc): the file named in exc is the temp file
-        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_IO
+        return _complain(EXIT_IO, f"cannot write {args.out}: {exc.strerror or exc}")
     return EXIT_OK
 
 
@@ -654,44 +657,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _complain(code: int, message: str, before: str = "") -> int:
+    """Write ``before`` and the line ``error: <message>`` to stderr, and
+    return ``code``: the CLI's one writer of a failure.  A stderr that cannot
+    be written, such as a pipe whose reader has gone, drops the text here,
+    and :func:`main` sends what stays in its buffer to devnull."""
+    with contextlib.suppress(OSError):
+        print(f"{before}error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     # CPython refuses str() of ints above 4300 digits by default; counts such
     # as t(6000) must still print exactly.  Restored for the caller afterwards.
     digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        sys.set_int_max_str_digits(0)
         code = args.handler(args)
         sys.stdout.flush()  # so that a closed stdout is met here, not at exit
-        return code
     except BrokenPipeError as exc:
         # stdout's reader has gone; as in the Python docs' SIGPIPE note, point
         # stdout at devnull so that the interpreter's last flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        try:
-            print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
-        except OSError:
-            # stderr is the same closed pipe, as under 2>&1 | head: the line
-            # stays in stderr's buffer, so stderr goes to devnull as well.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
-        return EXIT_IO
+        code = _complain(EXIT_IO, f"cannot write to stdout: {exc.strerror}")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = _complain(EXIT_USAGE, str(exc))
     except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        code = _complain(EXIT_MISMATCH, str(exc))
     except Exception as exc:
         # A bug, as a failed self-check is, so exit 1 and no traceback, but
         # under python -X dev, which debugging runs, the traceback first.
-        if sys.flags.dev_mode:
-            import traceback
+        import traceback
 
-            traceback.print_exc()
-        print(f"error: internal error: {_failure(exc)}", file=sys.stderr)
-        return EXIT_MISMATCH
+        trace = traceback.format_exc() if sys.flags.dev_mode else ""
+        code = _complain(EXIT_MISMATCH, f"internal error: {_failure(exc)}", trace)
     finally:
         sys.set_int_max_str_digits(digit_limit)
+        # Every exit, argparse's included, passes here.  A stderr that cannot
+        # be written (a pipe whose reader has gone, as under 2>&1 | head, or
+        # a closed descriptor) goes to devnull with what its buffer holds, so
+        # that the interpreter's last flush cannot change the exit code.
+        try:
+            if sys.stderr is not None:
+                sys.stderr.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    # One return, here: CPython copies a finally body at each return inside
+    # its try, and that larger main() raised verify's peak RSS by 256 KB.
+    return code
 
 
 def entry() -> None:

@@ -1,8 +1,8 @@
 """CLI surface: output formats, exit codes, and determinism.
 
 Most tests drive main() in-process and inspect captured stdout; subprocess
-tests cover the ``python -m chordforest`` entry point and a stdout closed by
-its reader.
+tests cover the ``python -m chordforest`` entry point, a stdout closed by its
+reader, and every failing exit code with stderr open and with it closed.
 """
 
 import errno
@@ -113,12 +113,26 @@ class TestCount:
         code, _, _ = _run(capsys, "count", "--kind", "t", "--n", "3", "--m", "1")
         assert code == EXIT_USAGE
 
-    def test_value_above_digit_limit_is_exact_decimal(self, capsys):
+    def test_value_above_digit_limit_is_exact_decimal(self, capsys, monkeypatch):
         # t(6000) has 4969 digits, above CPython's default limit of 4300.
         caller_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
             code, out, _ = _run(capsys, "count", "--kind", "t", "--n", "6000")
+            assert sys.get_int_max_str_digits() == 4300
+            # The caller's limit comes back on the failing exits too: a
+            # ValueError, a ConsistencyError and argparse's SystemExit.
+            def failing(n):
+                raise ConsistencyError(f"forced failure at n={n}")
+
+            monkeypatch.setattr(chordforest.formulas, "catalan", failing)
+            assert _run(capsys, "count", "--kind", "t", "--n", "0")[0] == EXIT_USAGE
+            assert sys.get_int_max_str_digits() == 4300
+            assert _run(capsys, "count", "--kind", "catalan", "--n", "3")[0] == EXIT_MISMATCH
+            assert sys.get_int_max_str_digits() == 4300
+            with pytest.raises(SystemExit) as exit_info:
+                main(["count", "--kind", "x", "--n", "3"])
+            assert exit_info.value.code == EXIT_USAGE
             assert sys.get_int_max_str_digits() == 4300
             sys.set_int_max_str_digits(0)
             expected = math.comb(3 * 6000 - 3, 6000 - 1) // (2 * 6000 - 1)
@@ -1166,3 +1180,88 @@ def test_closed_stdout_and_stderr_exit_io_error(argv, unbuffered):
         process.stdout.close()
         code = process.wait(timeout=120)
     assert code == EXIT_IO
+
+
+def _planted(fault, *flags):
+    """Interpreter arguments that plant ``raise fault("planted")`` in
+    ``formulas.forest_count``, then run ``count --kind f --n 3 --m 2``
+    through ``cli.entry()``, as the installed script does."""
+    source = (
+        "import chordforest.cli, chordforest.formulas\n"
+        "from chordforest.errors import ConsistencyError\n"
+        "def planted(n, m):\n"
+        f"    raise {fault}('planted')\n"
+        "chordforest.formulas.forest_count = planted\n"
+        "chordforest.cli.entry()\n"
+    )
+    return [*flags, "-c", source, "count", "--kind", "f", "--n", "3", "--m", "2"]
+
+
+MISSING_DIRECTORY_OUT = "<a missing directory>/figure.svg"
+
+# Every documented exit code but 0, and the start of the last line each case
+# writes to stderr.
+FAILURE_CASES = {
+    "argparse": (
+        ["-m", "chordforest", "count", "--kind", "x", "--n", "3"],
+        EXIT_USAGE,
+        "chordforest count: error: argument --kind: invalid choice: 'x'",
+    ),
+    "missing-m": (
+        ["-m", "chordforest", "count", "--kind", "f", "--n", "3"],
+        EXIT_USAGE,
+        "error: kind 'f' needs both --n and --m",
+    ),
+    "domain": (
+        ["-m", "chordforest", "count", "--kind", "t", "--n", "0"],
+        EXIT_USAGE,
+        "error: tree_count requires n >= 1",
+    ),
+    "cap": (
+        ["-m", "chordforest", "verify", "--max-n-brute", "13"],
+        EXIT_USAGE,
+        "error: --max-n-brute 13 exceeds the enumeration cap of 12",
+    ),
+    "consistency": (_planted("ConsistencyError"), EXIT_MISMATCH, "error: planted"),
+    "internal": (
+        _planted("KeyError"),
+        EXIT_MISMATCH,
+        "error: internal error: KeyError: 'planted'",
+    ),
+    "internal-dev": (
+        _planted("KeyError", "-X", "dev"),
+        EXIT_MISMATCH,
+        "error: internal error: KeyError: 'planted'",
+    ),
+    "render": (
+        ["-m", "chordforest", "render", "--diagram", "1-2", "--out", MISSING_DIRECTORY_OUT],
+        EXIT_IO,
+        "error: cannot write ",
+    ),
+}
+
+
+@pytest.mark.parametrize("stderr", ["open", "closed-buffered", "closed-unbuffered"])
+@pytest.mark.parametrize("case", FAILURE_CASES)
+def test_every_exit_code_holds_with_stderr_open_or_closed(case, stderr, tmp_path):
+    argv, code, last_line = FAILURE_CASES[case]
+    missing = str(tmp_path / "missing" / "figure.svg")
+    argv = [sys.executable, *(missing if arg == MISSING_DIRECTORY_OUT else arg for arg in argv)]
+    if stderr == "open":
+        result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout) == (code, "")
+        assert result.stderr.splitlines()[-1].startswith(last_line), result.stderr
+        assert ("Traceback" in result.stderr) == (case == "internal-dev"), result.stderr
+        return
+    # stdout and stderr share a pipe whose read end is closed before the
+    # child starts, so every write to either fails, at no particular time.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if stderr == "closed-unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(argv, stdout=write_end, stderr=write_end, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert result.returncode == code
