@@ -166,11 +166,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--n {args.n} exceeds the enumeration cap of {cap}; pass --force to override"
         )
-    # the scan's table against the closed forms, before a line is printed
-    table = oracle.brute_force_counts(args.n)
-    mismatch = _first_mismatch(_scan_cases(args.n, table), "formula", "bruteforce")
+    # every table of the scan against the closed forms, before a line is printed
+    tables = oracle.brute_force_tables(args.n)
+    mismatch = _first_mismatch(_scan_cases(args.n, tables), "formula", "bruteforce")
     if mismatch is not None:
         raise ConsistencyError(f"enumerate --n {args.n}: {mismatch}")
+    table = tables[-1]
     print(f"n={table.n}")
     print(f"total-diagrams={table.total_diagrams}")
     print(f"total-forests={table.total_forests}")
@@ -295,22 +296,21 @@ def _tally_cases(n: int, forests: dict[int, int], rooted: dict[int, int]) -> Ite
         yield f"r(n={n}, m={m})", closed, rooted.get(m)
 
 
-def _scan_cases(n: int, table: oracle.CountTable) -> Iterator[tuple]:
-    """The scan's table of n against the closed forms: its n, its diagram
-    total and its tallies by m."""
-    yield f"scan size (n={n})", n, table.n
-    total = formulas.double_factorial_pairings(n)
-    yield f"diagram total (n={n})", total, table.total_diagrams
-    yield from _tally_cases(n, table.forests_by_trees, table.rooted_by_trees)
+def _scan_cases(max_n: int, tables: list[oracle.CountTable]) -> Iterator[tuple]:
+    """The scan's count of tables against ``max_n``, then each table of n
+    against the closed forms: its n, its diagram total and its tallies by m."""
+    yield f"scan tables (n<={max_n})", max_n, len(tables)
+    for n, table in enumerate(tables, start=1):
+        yield f"scan size (n={n})", n, table.n
+        total = formulas.double_factorial_pairings(n)
+        yield f"diagram total (n={n})", total, table.total_diagrams
+        yield from _tally_cases(n, table.forests_by_trees, table.rooted_by_trees)
 
 
 def _formula_vs_bruteforce(max_n: int) -> Iterator[tuple]:
-    """The scan's count of tables against ``max_n``, then each table of n
-    against the closed forms."""
-    tables = oracle.brute_force_tables(max_n)
-    yield f"scan tables (n<={max_n})", max_n, len(tables)
-    for n, table in enumerate(tables, start=1):
-        yield from _scan_cases(n, table)
+    """:func:`_scan_cases` of one scan to ``max_n``, run inside the generator
+    so that a scan that raises fails the check."""
+    yield from _scan_cases(max_n, oracle.brute_force_tables(max_n))
 
 
 def _kreweras(max_n: int) -> Iterator[tuple]:

@@ -4,8 +4,9 @@ Everything the closed forms and the series engine compute is re-derivable
 here by brute force.  The per-m tallies come from a transfer-matrix scan
 over the circle's points that uses only the crossing rule and acyclicity;
 one scan to n yields the tallies of every size up to n
-(:func:`brute_force_tables`), the last of which is
-:func:`brute_force_counts`.  A depth-first sweep that places chords in
+(:func:`brute_force_tables`), which the CLI reads.  Its last table alone is
+:func:`brute_force_counts`, the one-table form kept for library callers and
+perfbench's tracer.  A depth-first sweep that places chords in
 canonical order and cuts a branch at its first cycle (:func:`iter_forests`)
 lists the forest diagrams themselves.  Each chord (a, b) but the last
 relabels the components it crosses with its left end a, so meeting label a
@@ -258,7 +259,9 @@ def brute_force_tables(max_n: int) -> list[CountTable]:
 def brute_force_counts(n: int) -> CountTable:
     """Tally the forest diagrams of size n, and rooted forests, by m.
 
-    The last table of one scan to n, :func:`brute_force_tables`.
+    The last table of one scan to n, :func:`brute_force_tables`, which the
+    CLI reads instead; this one-table form is kept for library callers and
+    perfbench's tracer.
     """
     return brute_force_tables(n)[-1]
 

@@ -7,9 +7,11 @@ Usage::
     python tests/check_pins.py python -m chordforest
 
 The arguments, if any, are the command to run in place of ``chordforest``.
-One line per pin goes to stdout, ``ok`` or ``FAIL`` with what differed; the
-exit status is 1 if any pin failed, or if stdout's reader goes away before
-the last line (as with ``| head``).  Stdlib only.
+One line per pin goes to stdout, ``ok`` or ``FAIL`` with what differed; a
+pin that runs longer than ``TIMEOUT_S`` seconds is stopped, fails as
+``timed out``, and the next pin runs.  The exit status is 1 if any pin
+failed, or if stdout's reader goes away before the last line (as with
+``| head``).  Stdlib only.
 """
 
 import hashlib
@@ -20,13 +22,22 @@ import sys
 from pathlib import Path
 
 PINS = Path(__file__).resolve().parent / "data" / "pins.json"
+# per pin; the slowest, verify --max-n-formula 300, takes a few seconds
+TIMEOUT_S = 300
 
 
 def main(command: list[str]) -> int:
     failed = 0
     try:
         for line, pin in json.loads(PINS.read_text(encoding="utf-8")).items():
-            result = subprocess.run([*command, *line.split()], stdout=subprocess.PIPE)
+            try:
+                result = subprocess.run(
+                    [*command, *line.split()], stdout=subprocess.PIPE, timeout=TIMEOUT_S
+                )
+            except subprocess.TimeoutExpired:
+                failed += 1
+                print(f"FAIL {line}: timed out after {TIMEOUT_S} s", flush=True)
+                continue
             stdout = result.stdout
             got = (result.returncode, hashlib.sha256(stdout).hexdigest(), len(stdout))
             if got == (0, pin["sha256"], pin["bytes"]):

@@ -23,7 +23,7 @@ from chordforest.formulas import (
     type_sum_forest_count,
 )
 from chordforest.oracle import (
-    brute_force_counts,
+    brute_force_tables,
     enumerate_types,
     noncrossing_partition_tallies,
 )
@@ -48,8 +48,8 @@ def _report(criterion, label, failures):
 
 @pytest.fixture(scope="module")
 def sweep_tables():
-    """One shared exhaustive sweep for criteria 1-3."""
-    return {n: brute_force_counts(n) for n in range(1, BRUTE_MAX + 1)}
+    """One shared exhaustive sweep for criteria 1-3: the table of each n."""
+    return dict(enumerate(brute_force_tables(BRUTE_MAX), start=1))
 
 
 def test_criterion_1_forest_counts_match_bruteforce(sweep_tables):
@@ -148,8 +148,8 @@ def test_criterion_5_generating_function_identities():
 
 def test_criterion_6_kreweras_matches_enumeration():
     failures = []
-    for n in range(1, KREWERAS_MAX + 1):
-        tallies = noncrossing_partition_tallies(n)[-1]
+    # one sweep of [KREWERAS_MAX] tallies every ground set up to it
+    for n, tallies in enumerate(noncrossing_partition_tallies(KREWERAS_MAX), start=1):
         total = sum(tallies.values())
         if total != catalan(n):
             failures.append(f"[{n}]: total {total} != catalan {catalan(n)}")

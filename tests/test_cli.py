@@ -444,9 +444,9 @@ class TestEnumerate:
         assert err == "error: enumerate --list: r(n=3, m=2) formula=12 bruteforce=42\n"
 
     def test_scan_of_another_n_exits_mismatch(self, capsys, monkeypatch):
-        genuine = chordforest.oracle.brute_force_counts
+        genuine = chordforest.oracle.brute_force_tables
         monkeypatch.setattr(
-            chordforest.oracle, "brute_force_counts", lambda n: genuine(n - 1)
+            chordforest.oracle, "brute_force_tables", table_replaced(genuine, 6, n=lambda n: 5)
         )
         code, out, err = _run(capsys, "enumerate", "--n", "6")
         assert code == EXIT_MISMATCH
@@ -470,19 +470,32 @@ class TestEnumerate:
     def test_scan_off_the_closed_forms_exits_mismatch(
         self, capsys, monkeypatch, field, message
     ):
-        genuine = chordforest.oracle.brute_force_counts
+        def plus_one(value):
+            return value + 1 if isinstance(value, int) else {**value, 1: value[1] + 1}
 
-        def corrupted(n):
-            table = genuine(n)
-            value = getattr(table, field)
-            value = value + 1 if isinstance(value, int) else {**value, 1: value[1] + 1}
-            return table._replace(**{field: value})
-
-        monkeypatch.setattr(chordforest.oracle, "brute_force_counts", corrupted)
+        genuine = chordforest.oracle.brute_force_tables
+        monkeypatch.setattr(
+            chordforest.oracle,
+            "brute_force_tables",
+            table_replaced(genuine, 4, **{field: plus_one}),
+        )
         code, out, err = _run(capsys, "enumerate", "--n", "4")
         assert code == EXIT_MISMATCH
         assert out == ""
         assert err == f"error: enumerate --n 4: {message}\n"
+
+    def test_every_table_of_the_scan_is_checked(self, capsys, monkeypatch):
+        # a fault in the table of 2 alone, below the table that is printed
+        genuine = chordforest.oracle.brute_force_tables
+        monkeypatch.setattr(
+            chordforest.oracle,
+            "brute_force_tables",
+            table_replaced(genuine, 2, forests_by_trees=lambda t: {**t, 1: t[1] + 1}),
+        )
+        code, out, err = _run(capsys, "enumerate", "--n", "5")
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert err == "error: enumerate --n 5: f(n=2, m=1) formula=1 bruteforce=2\n"
 
     @pytest.mark.parametrize(
         "tallies, counterexample",
@@ -499,7 +512,7 @@ class TestEnumerate:
     def test_scan_with_an_extra_or_a_missing_m_fails_both_commands(
         self, capsys, monkeypatch, tallies, counterexample
     ):
-        # one patch reaches enumerate too, through brute_force_counts
+        # one patch reaches both commands, through brute_force_tables
         genuine = chordforest.oracle.brute_force_tables
         monkeypatch.setattr(
             chordforest.oracle,
@@ -530,7 +543,7 @@ class TestEnumerate:
         def sweep(*args, **kwargs):
             raise AssertionError("the sweep must not start")
 
-        monkeypatch.setattr(chordforest.oracle, "brute_force_counts", sweep)
+        monkeypatch.setattr(chordforest.oracle, "brute_force_tables", sweep)
         monkeypatch.setattr(chordforest.oracle, "iter_forests", sweep)
         for argv, n, cap in self.ABOVE_CAP:
             code, out, err = _run(capsys, "enumerate", *argv)
@@ -544,32 +557,35 @@ class TestEnumerate:
     def test_force_passes_n_itself_to_the_sweeps(self, capsys, monkeypatch):
         # The caps are the CLI's alone: above them, --force hands the oracle
         # n and nothing else.  The stand-ins record their calls; the scan's
-        # returns the closed forms' table and the listing yields nothing, so
+        # returns the closed forms' tables and the listing yields nothing, so
         # no real sweep runs and the listing's tally check fails.
         calls = []
 
-        def scan(*args, **kwargs):
-            calls.append(("brute_force_counts", args, kwargs))
-            (n,) = args
+        def table(n):
             f = {m: forest_count(n, m) for m in range(1, n + 1)}
             r = {m: rooted_forest_count(n, m) for m in range(1, n + 1)}
             return chordforest.oracle.CountTable(n, f, r, double_factorial_pairings(n))
+
+        def scan(*args, **kwargs):
+            calls.append(("brute_force_tables", args, kwargs))
+            (max_n,) = args
+            return [table(n) for n in range(1, max_n + 1)]
 
         def listing(*args, **kwargs):
             calls.append(("iter_forests", args, kwargs))
             return iter(())
 
-        monkeypatch.setattr(chordforest.oracle, "brute_force_counts", scan)
+        monkeypatch.setattr(chordforest.oracle, "brute_force_tables", scan)
         monkeypatch.setattr(chordforest.oracle, "iter_forests", listing)
         code, out, _ = _run(capsys, "enumerate", "--n", "13", "--force")
         assert code == EXIT_OK
         assert out.splitlines()[0] == "n=13"
-        assert calls == [("brute_force_counts", (13,), {})]
+        assert calls == [("brute_force_tables", (13,), {})]
         calls.clear()
         code, _, err = _run(capsys, "enumerate", "--n", "9", "--list", "--force")
         assert code == EXIT_MISMATCH
         assert err.startswith("error: enumerate --list: f(n=9, m=1) ")
-        assert calls == [("brute_force_counts", (9,), {}), ("iter_forests", (9,), {})]
+        assert calls == [("brute_force_tables", (9,), {}), ("iter_forests", (9,), {})]
 
     def test_tallies_above_the_listing_cap(self, capsys):
         code, out, _ = _run(capsys, "enumerate", "--n", "10")

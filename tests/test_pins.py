@@ -4,17 +4,19 @@ The file maps a command line (after ``chordforest``) to the sha256 and byte
 count of its stdout.  ``tests/check_pins.py`` runs every pin through the
 installed entry point, as CI does; this test runs every pin that takes well
 under a second in-process, so a changed PASS byte fails tier-1 too, and runs
-the script itself against a stand-in command.
+the script itself against stand-in commands, one of which hangs.
 """
 
 import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import check_pins
 from chordforest.cli import EXIT_OK, main
 
 PINS = json.loads((Path(__file__).resolve().parent / "data" / "pins.json").read_text("utf-8"))
@@ -72,3 +74,22 @@ def test_check_pins_on_a_closed_stdout_exits_without_a_traceback():
         stderr = process.stderr.read()
         assert process.wait(timeout=120) == 1
     assert "Traceback" not in stderr, stderr
+
+
+def test_check_pins_stops_a_pin_that_hangs_and_runs_the_next(capsys, monkeypatch, tmp_path):
+    # the stand-in sleeps for a minute on the pin "hang" and prints nothing on
+    # any other, whose pin is the empty stdout
+    empty = {"sha256": hashlib.sha256(b"").hexdigest(), "bytes": 0}
+    pins = tmp_path / "pins.json"
+    pins.write_text(json.dumps({"hang": empty, "quiet": empty}), encoding="utf-8")
+    monkeypatch.setattr(check_pins, "PINS", pins)
+    monkeypatch.setattr(check_pins, "TIMEOUT_S", 1)
+    stand_in = "import sys, time\nif sys.argv[1] == 'hang':\n    time.sleep(60)"
+    start = time.monotonic()
+    code = check_pins.main([sys.executable, "-S", "-c", stand_in])
+    assert time.monotonic() - start < 30
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL hang: timed out after 1 s",
+        "ok   quiet",
+    ]
