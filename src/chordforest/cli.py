@@ -27,8 +27,9 @@ one ``with`` block, a forked worker runs the paper's double sum for r, whose
 rows it sends back first, then the Kreweras and type-sum checks whole, while
 the main process runs the other checks and receives the worker's values in
 job order.  Each payload crosses the pipe as a length-prefixed ``marshal``
-frame, decoded in one call.  Elsewhere each of those jobs runs inline, at the
-check that receives it.  The output is the same either way.
+frame, decoded in one call.  Where ``os.fork`` is missing or fails, each of
+those jobs runs inline, at the check that receives it.  The output is the
+same either way.
 """
 
 from __future__ import annotations
@@ -168,9 +169,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
     # every table of the scan against the closed forms, before a line is printed
     tables = oracle.brute_force_tables(args.n)
-    mismatch = _first_mismatch(_scan_cases(args.n, tables), "formula", "bruteforce")
-    if mismatch is not None:
-        raise ConsistencyError(f"enumerate --n {args.n}: {mismatch}")
+    _compare(_scan_cases(args.n, tables), "formula", "bruteforce", f"enumerate --n {args.n}: ")
     table = tables[-1]
     print(f"n={table.n}")
     print(f"total-diagrams={table.total_diagrams}")
@@ -211,27 +210,26 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             forests[len(sizes)] += listed
             rooted[len(sizes)] += listed * math.prod(sizes)
         cases = _tally_cases(args.n, forests, rooted)
-        mismatch = _first_mismatch(cases, "formula", "bruteforce")
-        if mismatch is not None:
-            raise ConsistencyError(f"enumerate --list: {mismatch}")
+        _compare(cases, "formula", "bruteforce", "enumerate --list: ")
     return EXIT_OK
 
 
 # -- verify ----------------------------------------------------------------
 
 
-def _first_mismatch(cases: Iterable[tuple], left_name: str, right_name: str) -> str | None:
-    """The first ``(case, left, right)`` with left != right, written as
-    ``<case> <left_name>=<left> <right_name>=<right>``, or None."""
+def _compare(cases: Iterable[tuple], left_name: str, right_name: str, where: str = "") -> None:
+    """Raise ``ConsistencyError`` at the first ``(case, left, right)`` with
+    left != right, its message ``where`` and then
+    ``<case> <left_name>=<left> <right_name>=<right>``."""
     for case, left, right in cases:
         if left != right:
-            return f"{case} {left_name}={left} {right_name}={right}"
-    return None
+            raise ConsistencyError(f"{where}{case} {left_name}={left} {right_name}={right}")
 
 
 def _check(cases: Iterable[tuple], left_name: str, right_name: str):
-    """A zero-argument callable: the first mismatch of ``cases``, or None."""
-    return functools.partial(_first_mismatch, cases, left_name, right_name)
+    """A zero-argument callable that raises ``ConsistencyError`` at the first
+    mismatch of ``cases``."""
+    return functools.partial(_compare, cases, left_name, right_name)
 
 
 def _bridge_row(binomials: list[int], powers: list[tuple[int, ...]], n: int) -> Iterator:
@@ -389,17 +387,22 @@ def _forked(*jobs):
     ``receive()``.  If the worker exits before it reports every job, or
     mid-frame, it is reaped, and the first job it never reported raises
     ``ConsistencyError``: running it inline could end the caller as it ended
-    the worker.  With no worker, because it is reaped or because there is no
-    ``os.fork`` (Windows), ``receive()`` runs the next job inline.  Leaving
-    the block reaps the worker: once every job is received it is exiting by
-    itself and is waited for, and while a job is unreceived it is killed
-    first.  The CLI starts no thread, so forking it is safe.
+    the worker.  With no worker, because it is reaped, because there is no
+    ``os.fork`` (Windows) or because ``os.fork`` raised ``OSError`` (as at a
+    process limit, with both pipe ends then closed), ``receive()`` runs the
+    next job inline.  Leaving the block reaps the worker: once every job is
+    received it is exiting by itself and is waited for, and while a job is
+    unreceived it is killed first.  The CLI starts no thread, so forking it
+    is safe.
     """
     unreceived = list(jobs)
-    pid = 0  # the worker's, while it runs
+    pid = None  # the worker's while it runs; None with no worker
     if hasattr(os, "fork"):
         read_end, write_end = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:  # as at a process limit: no worker
+            os.close(read_end)
         if pid == 0:
             status = 1
             try:
@@ -416,7 +419,8 @@ def _forked(*jobs):
             finally:
                 os._exit(status)
         os.close(write_end)
-        pipe = open(read_end, "rb")
+        if pid:
+            pipe = open(read_end, "rb")
 
     def receive():
         nonlocal pid
@@ -432,7 +436,7 @@ def _forked(*jobs):
             raise ConsistencyError(value)
         pipe.close()  # the worker ended, or was cut off mid-frame
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = 0
+        pid = None
         del unreceived[0]
         raise ConsistencyError(f"verify worker exited with status {status} and no result")
 
@@ -474,8 +478,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _check(_kreweras(KREWERAS_VERIFY_MAX), "formula", "bruteforce"),
         _check(_type_sum(TYPE_SUM_VERIFY_MAX), "formula", "type-sum"),
     ) as receive:
-        # (check, a callable that returns its first mismatch or None); each
-        # check's cases run only when its turn comes.
+        # (check, a callable that raises at its first mismatch); each check's
+        # cases run only when its turn comes.
         suites = (
             (
                 f"formula-vs-series (n<={args.max_n_formula})",
@@ -505,15 +509,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failures = 0
         for name, verdict in suites:
             try:
-                mismatch = verdict()
+                verdict()
             except Exception as exc:  # a check that raises fails; the rest run on
-                mismatch = _failure(exc)
-            if mismatch is None:
-                print(f"check {name}: PASS")
-            else:
                 failures += 1
                 print(f"check {name}: FAIL")
-                print(f"  first counterexample: {mismatch}")
+                print(f"  first counterexample: {_failure(exc)}")
+            else:
+                print(f"check {name}: PASS")
     if failures:
         print(f"{failures} of {len(suites)} checks failed")
         return EXIT_MISMATCH
@@ -679,7 +681,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError as exc:
         # stdout's reader has gone; as in the Python docs' SIGPIPE note, point
         # stdout at devnull so that the interpreter's last flush cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(devnull)
         code = _complain(EXIT_IO, f"cannot write to stdout: {exc.strerror}")
     except ValueError as exc:
         code = _complain(EXIT_USAGE, str(exc))
@@ -702,7 +705,8 @@ def main(argv: list[str] | None = None) -> int:
             if sys.stderr is not None:
                 sys.stderr.flush()
         except OSError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+            os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+            os.close(devnull)
     # One return, here: CPython copies a finally body at each return inside
     # its try, and that larger main() raised verify's peak RSS by 256 KB.
     return code

@@ -49,7 +49,8 @@ def main(command: list[str]) -> int:
     except BrokenPipeError:
         # stdout's reader has gone; as chordforest's CLI does, point stdout at
         # devnull so that the interpreter's last flush cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return 1 if failed else 0
 

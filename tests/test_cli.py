@@ -747,6 +747,11 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _descriptors():
+    """The numbers of this process's open file descriptors."""
+    return set(os.listdir("/dev/fd"))
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="without os.fork the jobs run inline")
 class TestVerifyWorker:
     """verify's forked worker, which runs the paper sum and then the Kreweras
@@ -1015,6 +1020,20 @@ class TestVerifyWorker:
         assert kills == []
         _no_child_left()
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_failed_fork_runs_every_job_inline(self, capsys, monkeypatch):
+        # As at a process limit: no worker, both pipe ends closed, and the
+        # jobs run inline at their checks.
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        before = _descriptors()
+        code, out, _ = _run(capsys, "verify")
+        assert (code, _digest(out.encode())) == (EXIT_OK, _pinned("verify"))
+        assert _descriptors() == before
+        _no_child_left()
+
 
 def _flags(**changes):
     """sys.flags as a namespace, with ``changes`` applied."""
@@ -1175,6 +1194,20 @@ def test_closed_stdout_exits_io_error_without_traceback(argv):
     assert code == EXIT_IO
     assert err == f"error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n"
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_closed_stdout_in_process_leaves_no_descriptor_open(capsys, monkeypatch):
+    # main points the closed stdout at devnull, and closes the devnull
+    # descriptor it opened for that.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        before = _descriptors()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["table", "--kind", "t", "--max-n", "50"]) == EXIT_IO
+        assert _descriptors() == before
+    assert capsys.readouterr().err.startswith("error: cannot write to stdout: ")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -14,12 +14,12 @@ module itself both look up there.  The row then runs
 first counterexample; every other check must pass.  A fault in
 ``rooted_forest_paper_rows``, or in a function that the Kreweras or type-sum
 check calls, runs in ``verify``'s forked worker, which inherits the planted
-attribute and sends its message or the check's verdict back.  Most rows run
-at ``--max-n-formula 8``; a row that names a larger bound plants a fault
-that only that bound reaches, such as one in the last row a check reads.  This
-is mutation analysis (DeMillo, Lipton and Sayward, "Hints on Test Data
-Selection", IEEE Computer 11(4), 1978) turned on the claim that the three
-routes check each other.
+attribute and sends back a mismatch as a message, like any failure.  Most
+rows run at ``--max-n-formula 8``; a row that names a larger bound plants a
+fault that only that bound reaches, such as one in the last row a check
+reads.  This is mutation analysis (DeMillo, Lipton and Sayward, "Hints on
+Test Data Selection", IEEE Computer 11(4), 1978) turned on the claim that
+the three routes check each other.
 """
 
 import inspect

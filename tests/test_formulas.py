@@ -33,6 +33,7 @@ from chordforest.formulas import (
     type_sum_forest_count,
 )
 from chordforest.oracle import enumerate_types
+from test_fault_matrix import _source_mutant
 
 
 def test_exact_division_guard():
@@ -360,6 +361,35 @@ class TestRootedForestCount:
         for max_n in (0, -1):
             with pytest.raises(ValueError):
                 rooted_forest_paper_rows(max_n)
+
+    NEGATED = ("binomial(2 * n, m - 1) * total", "-binomial(2 * n, m - 1) * total")
+
+    @pytest.mark.parametrize(
+        "kernel, old, new, run, message",
+        [
+            (rooted_forest_count, *NEGATED, lambda f: f(5, 2), "r(5, 2) evaluated to -660 < 0"),
+            (rooted_forest_rows, *NEGATED, lambda f: list(f(5)), "r(1, 1) evaluated to -1 < 0"),
+            (
+                rooted_forest_paper_rows,
+                *NEGATED,
+                lambda f: f(5),
+                "rooted_forest_paper_rows(5): r(1, 1) evaluated to -1 < 0",
+            ),
+            # at max_n = 1 the short loop never binds n, so the check needs 2 or more
+            (
+                rooted_forest_rows,
+                "range(1, max_n + 1)",
+                "range(1, max_n)",
+                lambda f: list(f(5)),
+                "rooted_forest_rows(5) ended at row 4",
+            ),
+        ],
+        ids=["cell-negative", "rows-negative", "paper-rows-negative", "rows-cut-short"],
+    )
+    def test_a_planted_fault_meets_the_kernels_own_check(self, kernel, old, new, run, message):
+        with pytest.raises(ConsistencyError) as raised:
+            run(_source_mutant(kernel, old, new))
+        assert str(raised.value) == message
 
 
 class TestLagrangeCoeff:

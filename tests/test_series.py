@@ -88,6 +88,15 @@ def _two_list_ternary_gf(order):
 coeff_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=10)
 
 
+@pytest.mark.parametrize(
+    "builder, order, lowest", [(solve_ternary_gf, -1, 0), (tree_gf, 0, 1), (rooted_gf, 0, 1)]
+)
+def test_an_order_below_the_domain_is_a_value_error(builder, order, lowest):
+    with pytest.raises(ValueError) as raised:
+        builder(order)
+    assert str(raised.value) == f"order must be >= {lowest}, got {order}"
+
+
 class TestRingOperations:
     def test_product_of_conjugates(self):
         assert mul((1, 1, 0, 0), (1, -1, 0, 0)) == (1, 0, -1, 0)
